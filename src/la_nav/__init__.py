@@ -14,7 +14,6 @@ from .automata import (
     LearningScheme,
     PModelFeedback,
     ProbabilityVector,
-    QModelFeedback,
     SchemeKind,
     SModelFeedback,
     apply_feedback,
@@ -32,7 +31,6 @@ from .kinematics import (
     RobotPose,
     action_to_wheels,
     integrate_action,
-    pose_derivative,
 )
 from .runner import (
     BatchResult,

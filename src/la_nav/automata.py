@@ -145,24 +145,7 @@ class SModelFeedback:
             raise ValueError(f"response {self.response!r} outside [0, 1]")
 
 
-@dataclass(frozen=True, slots=True)
-class QModelFeedback:
-    """Response drawn from a declared finite set of levels in [0, 1]."""
-
-    response: float
-    levels: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not self.levels:
-            raise ValueError("levels must be a non-empty finite set")
-        for level in self.levels:
-            if not 0.0 <= level <= 1.0:
-                raise ValueError(f"level {level!r} outside [0, 1]")
-        if self.response not in self.levels:
-            raise ValueError(f"response {self.response!r} not among declared levels")
-
-
-Feedback = PModelFeedback | SModelFeedback | QModelFeedback
+Feedback = PModelFeedback | SModelFeedback
 
 SUCCESS = PModelFeedback(0)
 FAILURE = PModelFeedback(1)
@@ -267,11 +250,8 @@ def apply_feedback(
     """Dispatch feedback to the matching update rule for ``scheme``.
 
     Binary feedback drives the favorable/unfavorable pair; continuous
-    feedback drives the graded update. Finite-level (Q-model) feedback has
-    no update rule here and is rejected.
+    feedback drives the graded update.
     """
-    if isinstance(fb, QModelFeedback):
-        raise NotImplementedError("Q-model feedback has no supported update rule")
     if isinstance(fb, SModelFeedback):
         if scheme.kind is not SchemeKind.S_MODEL:
             raise ValueError(

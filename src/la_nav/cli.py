@@ -46,7 +46,7 @@ SEED_ENV_VAR = "LA_NAV_SEED"
 
 _TOP_KEYS = {"preset", "seed", "scheme", "robot", "world", "max_steps", "feedback_literal_eq10"}
 _SCHEME_KEYS = {"kind", "a", "b"}
-_ROBOT_KEYS = {"c", "b", "omega", "T", "substeps"}
+_ROBOT_KEYS = {"c", "b", "omega", "T"}
 _WORLD_KEYS = {"goal", "random_goal", "tolerance", "bounds", "obstacles"}
 _BOUNDS_KEYS = {"min", "max"}
 _CIRCLE_KEYS = {"shape", "center", "radius"}
@@ -158,7 +158,6 @@ def _build_robot(data: dict) -> RobotParams:
             axle_length=_as_number(data["b"], "robot.b") if "b" in data else defaults.axle_length,
             wheel_speed=_as_number(data["omega"], "robot.omega") if "omega" in data else defaults.wheel_speed,
             action_duration=_as_number(data["T"], "robot.T") if "T" in data else defaults.action_duration,
-            substeps=_as_int(data["substeps"], "robot.substeps") if "substeps" in data else defaults.substeps,
         )
     except ValueError as exc:
         raise ConfigError("robot", str(exc)) from None
@@ -499,6 +498,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     seeds = _parse_seed_range(args.seeds)
+    if args.parallelism < 1:
+        raise ConfigError("parallelism", f"must be >= 1, got {args.parallelism}")
     overrides = _cli_overrides(args)
     overrides.setdefault("seed", seeds[0])
     template = parse_config(args.config, overrides)

@@ -10,7 +10,9 @@ axle length ``b``, heading ``theta`` and wheel angular velocities
 
 so forward motion at theta = 0 points along +y and positive theta turns
 to the left. Six discrete actions drive the wheels at a fixed speed for a
-fixed duration each.
+fixed duration each. Within an action the heading rate and the forward
+speed are constant, so every step is an exact circular arc (a straight
+line when both wheels turn alike) and is computed in closed form.
 """
 
 from __future__ import annotations
@@ -18,9 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
-
-import numpy as np
 
 ACTION_COUNT = 6
 
@@ -47,18 +46,17 @@ class RobotPose:
 
 @dataclass(frozen=True, slots=True)
 class RobotParams:
-    """Physical and integration parameters.
+    """Physical drive parameters.
 
     ``wheel_radius`` and ``axle_length`` are in cm, ``wheel_speed`` in
     rad/s (magnitude used by every driven wheel), ``action_duration`` in
-    seconds, ``substeps`` is the fixed Runge-Kutta step count per action.
+    seconds.
     """
 
     wheel_radius: float = 2.8
     axle_length: float = 12.0
     wheel_speed: float = 2.0
     action_duration: float = 0.5
-    substeps: int = 100
 
     def __post_init__(self) -> None:
         if self.wheel_radius <= 0:
@@ -69,8 +67,6 @@ class RobotParams:
             raise ValueError(f"wheel speed must be non-negative, got {self.wheel_speed!r}")
         if self.action_duration <= 0:
             raise ValueError(f"action duration must be positive, got {self.action_duration!r}")
-        if not isinstance(self.substeps, int) or self.substeps < 1:
-            raise ValueError(f"substeps must be a positive integer, got {self.substeps!r}")
 
 
 class Action(IntEnum):
@@ -119,50 +115,23 @@ def action_to_wheels(action: Action | int, params: RobotParams) -> tuple[float, 
     return right * params.wheel_speed, left * params.wheel_speed
 
 
-def pose_derivative(
-    pose: RobotPose, omega_l: float, omega_r: float, params: RobotParams
-) -> tuple[float, float, float]:
-    """Instantaneous ``(dx, dy, dtheta)`` in cm/s and rad/s."""
-    half_radius = 0.5 * params.wheel_radius
-    drive = omega_l + omega_r
-    dx = -half_radius * math.sin(pose.theta) * drive
-    dy = half_radius * math.cos(pose.theta) * drive
-    dtheta = (params.wheel_radius / params.axle_length) * (omega_r - omega_l)
-    return dx, dy, dtheta
-
-
-@lru_cache(maxsize=128)
-def _stage_tables(spin_step: float, step: float, substeps: int) -> tuple[np.ndarray, np.ndarray]:
-    # Heading offsets and quadrature weights shared by every classic RK4
-    # substep: stage headings sit at half-step spacing, and the stage
-    # combination reduces to Simpson weights because the translational
-    # derivative depends on the heading only.
-    offsets = (0.5 * spin_step) * np.arange(2 * substeps + 1)
-    weights = np.full(2 * substeps + 1, 2.0)
-    weights[1::2] = 4.0
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    weights *= step / 6.0
-    return offsets, weights
-
-
 def integrate_action(pose: RobotPose, action: Action | int, params: RobotParams) -> RobotPose:
     """Advance the pose by one action applied for ``params.action_duration``.
 
-    Fixed-step 4th-order Runge-Kutta with ``params.substeps`` equal steps;
-    the heading rate is constant during an action, so the stage values are
-    evaluated on the exact heading profile. Deterministic for fixed inputs.
+    Both wheel speeds are constant during an action, so the robot drives an
+    exact circular arc (a straight line when the heading rate is zero). The
+    arc's chord has length ``v*T*sin(dtheta/2)/(dtheta/2)`` and points along
+    the mid-arc heading ``theta + dtheta/2``.
     """
     omega_r, omega_l = action_to_wheels(action, params)
     spin = (params.wheel_radius / params.axle_length) * (omega_r - omega_l)
-    speed = 0.5 * params.wheel_radius * (omega_l + omega_r)
-    step = params.action_duration / params.substeps
-    offsets, weights = _stage_tables(spin * step, step, params.substeps)
-    angles = pose.theta + offsets
-    dx = -speed * float(np.dot(weights, np.sin(angles)))
-    dy = speed * float(np.dot(weights, np.cos(angles)))
+    travel = 0.5 * params.wheel_radius * (omega_l + omega_r) * params.action_duration
+    half_turn = 0.5 * spin * params.action_duration
+    if half_turn != 0.0:
+        travel *= math.sin(half_turn) / half_turn
+    mid = pose.theta + half_turn
     return RobotPose(
-        pose.x + dx,
-        pose.y + dy,
+        pose.x - travel * math.sin(mid),
+        pose.y + travel * math.cos(mid),
         pose.theta + spin * params.action_duration,
     )

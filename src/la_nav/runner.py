@@ -125,7 +125,6 @@ class ExperimentConfig:
                 "b": self.robot.axle_length,
                 "omega": self.robot.wheel_speed,
                 "T": self.robot.action_duration,
-                "substeps": self.robot.substeps,
             },
             "world": self.world.to_dict(),
             "max_steps": self.max_steps,

@@ -8,7 +8,6 @@ from la_nav import (
     LearningScheme,
     PModelFeedback,
     ProbabilityVector,
-    QModelFeedback,
     SchemeKind,
     SModelFeedback,
     apply_feedback,
@@ -180,14 +179,6 @@ class TestFeedbackTypes:
         with pytest.raises(ValueError):
             SModelFeedback(1.5)
 
-    def test_finite_levels_membership(self):
-        fb = QModelFeedback(0.5, levels=(0.0, 0.5, 1.0))
-        assert fb.response == 0.5
-        with pytest.raises(ValueError):
-            QModelFeedback(0.3, levels=(0.0, 0.5, 1.0))
-        with pytest.raises(ValueError):
-            QModelFeedback(0.5, levels=())
-
 
 class TestApplyFeedback:
     def test_success_takes_favorable_path(self):
@@ -208,10 +199,6 @@ class TestApplyFeedback:
         scheme = LearningScheme.s_model(0.7)
         out = apply_feedback(UNIFORM6, 1, SModelFeedback(0.5), scheme)
         assert out == update_s_model(UNIFORM6, 1, 0.5, 0.7)
-
-    def test_finite_level_feedback_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            apply_feedback(UNIFORM6, 1, QModelFeedback(0.5, (0.5,)), LearningScheme.lrp(0.7))
 
     def test_mismatched_variants_rejected(self):
         with pytest.raises(ValueError):

@@ -54,9 +54,13 @@ class TestParseConfig:
             parse_config(path)
 
     def test_unknown_nested_key(self, tmp_path):
-        path = write_config(tmp_path, {"preset": 1, "seed": 1, "robot": {"radius": 3}})
-        with pytest.raises(ConfigError):
-            parse_config(path)
+        # "substeps" is no longer a robot key; configs that still set it must fail.
+        for robot in ({"radius": 3}, {"substeps": 100}):
+            path = write_config(tmp_path, {"preset": 1, "seed": 1, "robot": robot})
+            with pytest.raises(ConfigError) as err:
+                parse_config(path)
+            key = next(iter(robot))
+            assert str(err.value).startswith(f"config field 'robot.{key}'")
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
@@ -275,6 +279,20 @@ class TestMain:
     def test_invalid_seed_range_exits_nonzero(self, tmp_path, capsys):
         code = main(["batch", "--preset", "1", "--seeds", "5..1", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("parallelism", ["0", "-3"])
+    def test_parallelism_below_one_exits_nonzero(self, tmp_path, capsys, parallelism):
+        out = tmp_path / "batch"
+        code = main(
+            ["batch", "--preset", "1", "--seeds", "1..2", "--parallelism", parallelism,
+             "--out", str(out)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'parallelism'")
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LA_NAV_SEED", "42")

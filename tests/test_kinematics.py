@@ -1,4 +1,4 @@
-"""Kinematics tests: wheel mapping, derivative frame, integrator accuracy."""
+"""Kinematics tests: wheel mapping, arc-step accuracy against independent oracles."""
 
 import math
 
@@ -12,29 +12,40 @@ from la_nav import (
     RobotPose,
     action_to_wheels,
     integrate_action,
-    pose_derivative,
 )
 
 PARAMS = RobotParams()  # c=2.8 cm, b=12 cm, omega=2 rad/s, T=0.5 s
+ORACLE_SUBSTEPS = 100
+HEADINGS = [-math.pi + k * (2 * math.pi / 40) for k in range(41)]
 
 
-def full_circle_params(substeps=100):
+def full_circle_params():
     # One driven wheel turns the robot on a circle of radius b/2; a full
     # revolution takes T = 2*pi*b / (c*omega).
     duration = 2 * math.pi * PARAMS.axle_length / (PARAMS.wheel_radius * PARAMS.wheel_speed)
-    return RobotParams(action_duration=duration, substeps=substeps)
+    return RobotParams(action_duration=duration)
 
 
-def rk4_oracle(pose, action, params):
+def pose_derivative(pose, omega_l, omega_r, params):
+    """Differential-drive ODE: instantaneous ``(dx, dy, dtheta)`` in cm/s and rad/s."""
+    half_radius = 0.5 * params.wheel_radius
+    drive = omega_l + omega_r
+    dx = -half_radius * math.sin(pose.theta) * drive
+    dy = half_radius * math.cos(pose.theta) * drive
+    dtheta = (params.wheel_radius / params.axle_length) * (omega_r - omega_l)
+    return dx, dy, dtheta
+
+
+def rk4_oracle(pose, action, params, substeps=ORACLE_SUBSTEPS):
     """Textbook fixed-step RK4 over the full (x, y, theta) state."""
     omega_r, omega_l = action_to_wheels(action, params)
-    h = params.action_duration / params.substeps
+    h = params.action_duration / substeps
     x, y, theta = pose.x, pose.y, pose.theta
 
     def f(state):
         return pose_derivative(RobotPose(*state), omega_l, omega_r, params)
 
-    for _ in range(params.substeps):
+    for _ in range(substeps):
         s = (x, y, theta)
         k1 = f(s)
         k2 = f(tuple(v + 0.5 * h * k for v, k in zip(s, k1)))
@@ -45,6 +56,24 @@ def rk4_oracle(pose, action, params):
             for v, a, b_, c, d in zip(s, k1, k2, k3, k4)
         )
     return RobotPose(x, y, theta)
+
+
+def circle_oracle(pose, action, params):
+    """Endpoint from the instantaneous centre of rotation (straight line if none)."""
+    omega_r, omega_l = action_to_wheels(action, params)
+    speed = 0.5 * params.wheel_radius * (omega_l + omega_r)
+    spin = (params.wheel_radius / params.axle_length) * (omega_r - omega_l)
+    T = params.action_duration
+    theta = pose.theta + spin * T
+    if spin == 0.0:
+        travel = speed * T
+        return RobotPose(pose.x - travel * math.sin(theta), pose.y + travel * math.cos(theta), theta)
+    radius = speed / spin
+    return RobotPose(
+        pose.x + radius * (math.cos(theta) - math.cos(pose.theta)),
+        pose.y + radius * (math.sin(theta) - math.sin(pose.theta)),
+        theta,
+    )
 
 
 class TestActionCatalogue:
@@ -112,9 +141,7 @@ class TestPoseDerivative:
 
 class TestIntegrateAction:
     def test_straight_line_is_exact(self):
-        params = RobotParams(
-            wheel_radius=2.8, axle_length=12.0, wheel_speed=1.0, action_duration=1.0, substeps=100
-        )
+        params = RobotParams(wheel_radius=2.8, axle_length=12.0, wheel_speed=1.0, action_duration=1.0)
         end = integrate_action(RobotPose(0, 0, 0), Action.FORWARD, params)
         assert end.x == pytest.approx(0.0, abs=1e-9)
         assert end.y == pytest.approx(2.8, abs=1e-9)
@@ -139,31 +166,33 @@ class TestIntegrateAction:
         assert back.y == pytest.approx(start.y, abs=1e-9)
         assert back.theta == pytest.approx(start.theta, abs=1e-9)
 
-    def test_step_halving_converges_at_fourth_order(self):
-        # Quarter-arc endpoint error shrinks ~16x per halving of the step.
-        # (A full revolution is unusable here: its quadrature error
-        # telescopes to machine noise at any step count.)
-        radius = PARAMS.axle_length / 2
-        spin = -(PARAMS.wheel_radius / PARAMS.axle_length) * PARAMS.wheel_speed
-        duration = (math.pi / 2) / abs(spin)
-        errors = {}
-        for substeps in (25, 50, 100):
-            params = RobotParams(action_duration=duration, substeps=substeps)
-            phi = spin * params.action_duration
-            exact_x = radius * (1 - math.cos(phi))
-            exact_y = -radius * math.sin(phi)
-            end = integrate_action(RobotPose(0, 0, 0), Action.RIGHT_FORWARD, params)
-            errors[substeps] = math.hypot(end.x - exact_x, end.y - exact_y)
-        assert 10 < errors[25] / errors[50] < 24
-        assert 10 < errors[50] / errors[100] < 24
+    def test_quarter_arc_endpoint_is_exact(self):
+        # Right wheel frozen: a clockwise arc of radius b/2 = 6 cm about
+        # (6, 0); a quarter turn from the origin facing +y ends at (6, 6).
+        spin = (PARAMS.wheel_radius / PARAMS.axle_length) * PARAMS.wheel_speed
+        params = RobotParams(action_duration=(math.pi / 2) / spin)
+        end = integrate_action(RobotPose(0, 0, 0), Action.RIGHT_FORWARD, params)
+        assert end.x == pytest.approx(6.0, abs=1e-12)
+        assert end.y == pytest.approx(6.0, abs=1e-12)
+        assert end.theta == pytest.approx(-math.pi / 2, abs=1e-12)
+
+    def test_agrees_with_both_oracles_over_heading_sweep(self):
+        for action in Action:
+            for theta in HEADINGS:
+                start = RobotPose(1.5, -0.5, theta)
+                end = integrate_action(start, action, PARAMS)
+                for oracle in (circle_oracle, rk4_oracle):
+                    ref = oracle(start, action, PARAMS)
+                    assert abs(end.x - ref.x) <= 1e-12
+                    assert abs(end.y - ref.y) <= 1e-12
+                    assert abs(end.theta - ref.theta) <= 1e-12
 
     @pytest.mark.parametrize("action", list(Action))
     @pytest.mark.parametrize("theta", [0.0, 0.9, -2.4])
     def test_matches_textbook_rk4(self, action, theta):
-        params = RobotParams(substeps=50)
         start = RobotPose(1.5, -0.5, theta)
-        fast = integrate_action(start, action, params)
-        slow = rk4_oracle(start, action, params)
+        fast = integrate_action(start, action, PARAMS)
+        slow = rk4_oracle(start, action, PARAMS)
         assert fast.x == pytest.approx(slow.x, abs=1e-12)
         assert fast.y == pytest.approx(slow.y, abs=1e-12)
         assert fast.theta == pytest.approx(slow.theta, abs=1e-12)
@@ -200,7 +229,6 @@ class TestPoseAndParams:
             {"axle_length": -1.0},
             {"wheel_speed": -0.5},
             {"action_duration": 0.0},
-            {"substeps": 0},
         ],
     )
     def test_params_validation(self, kwargs):

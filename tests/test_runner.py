@@ -1,5 +1,6 @@
 """Runner tests: episode semantics, determinism, presets, batches."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -206,7 +207,7 @@ class TestDigest:
     def test_config_roundtrip_dict_shape(self):
         d = preset_config(4, seed=3).to_dict()
         assert d["scheme"] == {"kind": "lrp", "a": 0.7, "b": 0.7}
-        assert d["robot"] == {"c": 2.8, "b": 12.0, "omega": 2.0, "T": 0.5, "substeps": 100}
+        assert d["robot"] == {"c": 2.8, "b": 12.0, "omega": 2.0, "T": 0.5}
         assert d["world"]["obstacles"] == "auto"
         assert d["world"]["random_goal"] == {"min_start_distance": 20.0}
 
@@ -288,3 +289,51 @@ class TestBatch:
         doc = result.summary.to_dict()
         assert set(doc) == {"runs", "config_failures", "success_count", "success_rate", "steps"}
         assert set(doc["steps"]) == {"mean", "median", "p10", "p25", "p75", "p90", "min", "max"}
+
+
+# (total_steps, sha256 over the per-step "action,flag,blocked;" records) for
+# seeds 1..5 of each preset. Any change to selection, kinematics, collision,
+# grading or the update rules that alters an episode's decisions shows here.
+GOLDEN_EPISODES = {
+    1: [
+        (115, "fd5036b8b8192386197f0940de6ccad9896844536bb5c566ad11c5ff9ff62f0f"),
+        (167, "398d75493b1cabbfd6f79ddadac038a66bbd3ae1f06b07bb0dfbdb21c59e2861"),
+        (196, "aefb91a90ebeaf5cc01437c02d0b0255f787d197256b59888953925ea7072742"),
+        (286, "0a748119044aa9d15eece50d248b134221c9538f1fbe8d126fa208b5837c545d"),
+        (162, "4cefc1221998356df85733d853cc2c693ce87c234ce769774a030a9740b2ef9e"),
+    ],
+    2: [
+        (5000, "f95203a04b964c4042da083185ee0eac14ae77d84e4c2b4dccc3cfc38772f118"),
+        (5000, "bf9774d9dfa4d25fe47c485fa79f677c39f171dda89335cc4d9a67d7e539ea17"),
+        (5000, "3785a84df99c3b21d67a2a067a2985283007b5b87d5f1489a9e239dfa713aa4b"),
+        (5000, "ecdadde20dce0f61ff1a64d2f225a1d893a1fcaf7d2d9e7dc4942cf14f5da427"),
+        (5000, "6c8573b3094820182448fd39abc8460f06a603695711c023a815b8bbef698511"),
+    ],
+    3: [
+        (394, "a9faece33e82752a37ae3bf0a91b44d06a1c1e178b9e41cb189d4b31df6c0186"),
+        (495, "d122987a58ba595ccc8b47e51236bf7f13e226cf7c4235b5f4cb1afeab63e805"),
+        (825, "6fd8304112a64f4c2e241003277c05f5671d29c92cbc3447ee909864a37b9160"),
+        (1076, "711ad0e066149d5ace791edcf9c7f5fcb5d1337021b23b1867b545bb82cbd281"),
+        (596, "e66fddc3917d1cbfe930091f6d77f7fb234445b77a1771fd831e505987b55d66"),
+    ],
+    4: [
+        (274, "8c2e87743402188b957db6ba36c9af46a744bbb8150fffb4640eb82da247a967"),
+        (192, "79a361c92473ba50d85cd141d1fda546014dda96529e79769aaf7d7dcd930c71"),
+        (227, "74dbd3e0f7712e13a74d3c6b6f4ddf0419834aef0e15b544c5399a26313eba62"),
+        (239, "a61438fd182e9506e7b87f88b38bebcfb3d8ed59d3e82abbc6d96259c3200597"),
+        (149, "8fe159b3cf709f080008f505f2a069af8957dd1914d00f679f59af82d3e716a3"),
+    ],
+}
+
+
+class TestGoldenBehaviour:
+    @pytest.mark.parametrize("preset", sorted(GOLDEN_EPISODES))
+    def test_decision_sequences_are_pinned(self, preset):
+        observed = []
+        for seed in range(1, 6):
+            record = run_episode(preset_config(preset, seed=seed))
+            digest = hashlib.sha256()
+            for step in record.steps:
+                digest.update(f"{int(step.action)},{step.flag.flag},{int(step.blocked)};".encode("ascii"))
+            observed.append((record.total_steps, digest.hexdigest()))
+        assert observed == GOLDEN_EPISODES[preset]
