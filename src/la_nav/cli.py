@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -76,7 +77,13 @@ def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(path, "expected a finite number, got an integer beyond float range") from None
+    if not math.isfinite(number):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -329,23 +336,20 @@ def _as_section(value, path: str) -> dict:
 # ---------------------------------------------------------------------------
 # artifact emission
 
-def _fmt(value: float) -> str:
-    # Shortest decimal string that round-trips to the same float.
-    return repr(float(value))
-
-
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 
 
+# The CSV writers format floats with repr: the shortest decimal string that
+# round-trips to the same float. Every value they format is a Python float.
 def _trajectory_csv(record: RunRecord) -> str:
     lines = ["n,x,y,theta,action,flag,d,blocked"]
     for s in record.steps:
         p = s.pose_after
         lines.append(
-            f"{s.n},{_fmt(p.x)},{_fmt(p.y)},{_fmt(p.theta)},"
-            f"{int(s.action)},{s.flag.flag},{_fmt(s.d_after)},{int(s.blocked)}"
+            f"{s.n},{p.x!r},{p.y!r},{p.theta!r},"
+            f"{int(s.action)},{s.flag.flag},{s.d_after!r},{int(s.blocked)}"
         )
     return "\n".join(lines) + "\n"
 
@@ -354,7 +358,7 @@ def _probs_csv(record: RunRecord) -> str:
     r = len(record.steps[0].probs_after) if record.steps else ACTION_COUNT
     lines = ["n," + ",".join(f"p{i}" for i in range(1, r + 1))]
     for s in record.steps:
-        lines.append(f"{s.n}," + ",".join(_fmt(v) for v in s.probs_after))
+        lines.append(f"{s.n}," + ",".join(map(repr, s.probs_after.probs)))
     return "\n".join(lines) + "\n"
 
 

@@ -59,13 +59,13 @@ class RobotParams:
     action_duration: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.wheel_radius <= 0:
+        if not self.wheel_radius > 0:
             raise ValueError(f"wheel radius must be positive, got {self.wheel_radius!r}")
-        if self.axle_length <= 0:
+        if not self.axle_length > 0:
             raise ValueError(f"axle length must be positive, got {self.axle_length!r}")
-        if self.wheel_speed < 0:
+        if not self.wheel_speed >= 0:
             raise ValueError(f"wheel speed must be non-negative, got {self.wheel_speed!r}")
-        if self.action_duration <= 0:
+        if not self.action_duration > 0:
             raise ValueError(f"action duration must be positive, got {self.action_duration!r}")
 
 

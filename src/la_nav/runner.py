@@ -72,9 +72,9 @@ class WorldSpec:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if self.goal is not None:
             object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
-        if self.tolerance <= 0:
+        if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if self.min_start_distance < 0:
+        if not self.min_start_distance >= 0:
             raise ValueError(
                 f"min start distance must be non-negative, got {self.min_start_distance!r}"
             )

@@ -22,9 +22,17 @@ GOAL_TOLERANCE_CM = 2.0
 DEFAULT_MIN_START_DISTANCE_CM = 20.0
 _MAX_SAMPLE_ATTEMPTS = 10_000
 
-# Interior chord samples for obstacle tests; the final fraction lands on the
-# proposed endpoint, which is additionally checked with exact coordinates.
-_CHORD_FRACTIONS = np.arange(1, 33) / 32.0
+# Chord samples for obstacle tests, as fractions of the move; the last lands
+# on the proposed endpoint, which is additionally checked with exact
+# coordinates. Every k/32 is exact in binary floating point.
+_SAMPLE_FRACTIONS = tuple(k / 32 for k in range(1, 33))
+
+# Slack of the collision broadphase, relative to the coordinate magnitude.
+# Rounding in the chord samples, the midpoint, the chord length, the
+# clearance and the containment test is each a few units in the last place
+# of the largest coordinate involved, together below 1e-14 of it; 1e-12
+# leaves ample room and is still far below any move length.
+_BROADPHASE_REL_MARGIN = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +63,7 @@ class CircleObstacle:
     radius: float
 
     def __post_init__(self) -> None:
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"circle radius must be positive, got {self.radius!r}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
@@ -64,17 +72,17 @@ class CircleObstacle:
         dy = y - self.center[1]
         return dx * dx + dy * dy < self.radius * self.radius
 
-    def any_contains(self, xs: np.ndarray, ys: np.ndarray) -> bool:
-        dx = xs - self.center[0]
-        dy = ys - self.center[1]
-        return bool(np.any(dx * dx + dy * dy < self.radius * self.radius))
-
     def exterior_clearance(self, x: float, y: float) -> float:
         """Distance from a point to the disc surface; 0 on or inside."""
-        return max(0.0, math.hypot(x - self.center[0], y - self.center[1]) - self.radius)
+        gap = math.hypot(x - self.center[0], y - self.center[1]) - self.radius
+        return gap if gap > 0.0 else 0.0
 
     def to_dict(self) -> dict:
         return {"shape": "circle", "center": list(self.center), "radius": self.radius}
+
+    def coordinate_scale(self) -> float:
+        """Largest coordinate magnitude of any point of the disc."""
+        return max(abs(self.center[0]), abs(self.center[1])) + self.radius
 
 
 @dataclass(frozen=True, slots=True)
@@ -96,15 +104,6 @@ class RectObstacle:
             and self.min_corner[1] < y < self.max_corner[1]
         )
 
-    def any_contains(self, xs: np.ndarray, ys: np.ndarray) -> bool:
-        inside = (
-            (xs > self.min_corner[0])
-            & (xs < self.max_corner[0])
-            & (ys > self.min_corner[1])
-            & (ys < self.max_corner[1])
-        )
-        return bool(np.any(inside))
-
     def exterior_clearance(self, x: float, y: float) -> float:
         """Distance from a point to the box surface; 0 on or inside."""
         dx = max(self.min_corner[0] - x, 0.0, x - self.max_corner[0])
@@ -114,23 +113,36 @@ class RectObstacle:
     def to_dict(self) -> dict:
         return {"shape": "rect", "min": list(self.min_corner), "max": list(self.max_corner)}
 
+    def coordinate_scale(self) -> float:
+        """Largest coordinate magnitude of any point of the box."""
+        return max(abs(v) for v in (*self.min_corner, *self.max_corner))
+
 
 Obstacle = CircleObstacle | RectObstacle
 
 
 @dataclass(frozen=True, slots=True)
 class World:
-    """Immutable workspace: goal point, tolerance, obstacles, bounds."""
+    """Immutable workspace: goal point, tolerance, obstacles, bounds.
+
+    ``obstacle_scale`` is derived: the largest coordinate magnitude of any
+    obstacle point (0 without obstacles). It scales the collision
+    broadphase margin in :func:`resolve_motion`.
+    """
 
     goal: tuple[float, float]
     goal_tolerance: float = GOAL_TOLERANCE_CM
     obstacles: tuple[Obstacle, ...] = ()
     bounds: Bounds = field(default_factory=Bounds)
+    obstacle_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if self.goal_tolerance <= 0:
+        object.__setattr__(
+            self, "obstacle_scale", max((o.coordinate_scale() for o in self.obstacles), default=0.0)
+        )
+        if not self.goal_tolerance > 0:
             raise ValueError(f"goal tolerance must be positive, got {self.goal_tolerance!r}")
         gx, gy = self.goal
         if not self.bounds.contains(gx, gy):
@@ -205,21 +217,47 @@ def resolve_motion(
 ) -> tuple[RobotPose, bool]:
     """Accept or wholly reject a proposed move.
 
-    The straight chord from ``start`` to ``proposed`` is sampled at 32
-    points plus the exact endpoint; if any sample falls inside an obstacle,
-    or the endpoint leaves the bounds, the move is rejected and the robot
-    stays at ``start``. The bounds are convex, so only the endpoint needs a
-    bounds test.
+    The straight chord from ``start`` to ``proposed`` is sampled at the 32
+    points ``start + (k/32)*(proposed - start)``, k = 1..32, plus the exact
+    endpoint; if any sample falls inside an obstacle, or the endpoint leaves
+    the bounds, the move is rejected and the robot stays at ``start``. The
+    bounds are convex, so only the endpoint needs a bounds test.
+
+    A broadphase skips the samples of every obstacle the chord cannot reach.
+    With ``m`` the chord midpoint and ``L`` the chord length, an obstacle is
+    skipped when its exterior clearance at ``m`` exceeds ``L/2 + margin``.
+    Every chord point lies within ``L/2`` of ``m``, so by the triangle
+    inequality it is more than ``margin`` outside the obstacle. The margin
+    is relative to the largest coordinate magnitude of the chord and of the
+    obstacles, and covers the rounding of the midpoint, the clearance, the
+    samples and the containment test. A skipped obstacle is therefore one
+    for which every sample would have tested outside: the broadphase never
+    changes a decision.
     """
-    for obs in world.obstacles:
-        if obs.contains(start.x, start.y):
-            raise ValueError(f"start pose ({start.x}, {start.y}) lies inside obstacle {obs!r}")
-    if not world.bounds.contains(proposed.x, proposed.y):
+    obstacles = world.obstacles
+    sx = start.x
+    sy = start.y
+    for obs in obstacles:
+        if obs.contains(sx, sy):
+            raise ValueError(f"start pose ({sx}, {sy}) lies inside obstacle {obs!r}")
+    px = proposed.x
+    py = proposed.y
+    if not world.bounds.contains(px, py):
         return start, True
-    if world.obstacles:
-        xs = start.x + _CHORD_FRACTIONS * (proposed.x - start.x)
-        ys = start.y + _CHORD_FRACTIONS * (proposed.y - start.y)
-        for obs in world.obstacles:
-            if obs.contains(proposed.x, proposed.y) or obs.any_contains(xs, ys):
+    if obstacles:
+        dx = px - sx
+        dy = py - sy
+        mx = sx + 0.5 * dx
+        my = sy + 0.5 * dy
+        half = 0.5 * math.hypot(dx, dy)
+        reach = half + _BROADPHASE_REL_MARGIN * (world.obstacle_scale + abs(mx) + abs(my) + half)
+        for obs in obstacles:
+            if obs.exterior_clearance(mx, my) > reach:
+                continue
+            contains = obs.contains
+            if contains(px, py):
                 return start, True
+            for f in _SAMPLE_FRACTIONS:
+                if contains(sx + f * dx, sy + f * dy):
+                    return start, True
     return proposed, False

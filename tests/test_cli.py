@@ -1,6 +1,7 @@
 """CLI tests: config parsing, artifact emission, end-to-end verbs."""
 
 import csv
+import hashlib
 import json
 
 import pytest
@@ -228,6 +229,82 @@ class TestArtifacts:
             assert getattr(a, name).read_bytes() == getattr(b, name).read_bytes()
 
 
+# sha256 of (trajectory.csv, probs.csv, summary.json, plot.svg) written by
+# emit_artifacts, recorded before the scalar collision rewrite and the leaner
+# CSV row emission; both must keep every byte.
+GOLDEN_ARTIFACTS = {
+    (1, 1): (
+        "13211e91756eb38777f56c97cbd2cca61e4da480907f7339cab1bcc2f897c2fe",
+        "1d353e6063f12d0145d0d093f3615bd7fbe7e107addecfeae443a2d6a2dfb08c",
+        "20cd6d5bc6551d71af7ca17dcbd4f1e771fa6fbb478305d3e76e108d9b775941",
+        "a0a5dd835cfd275f71f2fb539e33d1adf2c13127bba0e3033a1a94fb88e52202",
+    ),
+    (1, 2): (
+        "52934b8c1cc0548c4d11b68a1cbf3dff9f6e4387966ddf3246d3de420f324a54",
+        "e4bec39a8a7566deaa9986d90a446691ba92dc125d5891508eb378caa640361f",
+        "d88f64d351585b7a6d64a30007f46b1ddd0570de5d9c24a323b8dc3cc17237a9",
+        "19d3a0facf913c4d73a8a92e520d31a21aacaa493bdd34bf467ff86a2338e3f3",
+    ),
+    (1, 3): (
+        "bbff2b8188c7cbc42dd82ef49bc888aab23336d6c403a2c1279881a3afa6c535",
+        "49671e76e42cac5d51093d6e0abcc6d800ae6475b1f53c93245751472f034e55",
+        "001abef2a4d5816bd0311beed4c66ce209f331852fbf077bbf559b5bfb6ad046",
+        "633fd8e3311d9df5d40303457a97a5b04031e4606a3694ad5f221e7b608e01bb",
+    ),
+    (2, 1): (
+        "83b2d38c20749e97f2dcfd611183e52e5f32a6389ab2ddc410b26b9dfe0f8bd8",
+        "733180ae157db5dd78f5accc3bdc2d633cacf9ec0d1534ed85421c87e9c8b49c",
+        "f363d5f9719a72194bdbb7006cb6f37ec71490cc438aa19b127ecdd4c7d183c8",
+        "194531899800ba9bbdbb7f481ba7f290d880953f792a0a702b7529ba736bd6a9",
+    ),
+    (2, 2): (
+        "e09a72a1830dc298cdab9a6ae893ab4b285f3bc0088124df8f63270c7e69ef4b",
+        "6eb07818740389b329afd2ac49f4fa1ea35da8b779530d88414da0f8d3838634",
+        "257f681299b6be1b3c6da461f05fa3c5c617051e4a9e21b6a6e30940072cc00f",
+        "6943382a7157a54f6e9d22fffad203a277c8fee93c69ca17c33ede60446e59cc",
+    ),
+    (2, 3): (
+        "9590be9fb0a039f64a6ca7c31b19f63ece3bc7c2458bedf205ffaf504883ada5",
+        "fbf346785e7f3fac297229dad029e41b943d612202a2d468f8a7a2398ce5289f",
+        "83324f375d4886dfa3d1f21c342dad68bd0abb4dcf07b51edde11903857ca3dd",
+        "e5ee7879c316c863cde2fa3deba093160578764b3f478f548789f0e410cb3550",
+    ),
+    (4, 1): (
+        "351f5d7fef7a98f4c5b92b4d4ddabae2ffd66a605ff8025f2bfe5d8f4af3b995",
+        "b42976a9c68261d648daa1a28d7c3537e410e6d86460fcb854241f8008a5d966",
+        "3c61411c56225cb2e17913666d18357bb7f1e0cb7972048148efddda3a64ccea",
+        "af5fbe514595215b7f5fd47104692f8cc21ec059c80fa6711d0b15ba1fb18d23",
+    ),
+    (4, 2): (
+        "b7f3223bb655b13fd69b709704a81a1058b71c65c1ed2f3884fb263e389a9b6b",
+        "7f0acd39b780965ee7a6254306be02b8b383893360898bc8a12cd8ffb90a1402",
+        "13535e2524e97bda5c20582d758ece627faa5f1cc85a674dd4a21610854ab9a8",
+        "21ebfd272d32d7d02997d302f52672b93b30f85479ca4959a4d14e27a14a1597",
+    ),
+    (4, 3): (
+        "302975b81a16f06c690e534339f973165fe7d582610c14d2cfc5587a6bba210b",
+        "2c0a323140baa5b784f81d01f1d749c2a9e27a399e241b3f3b266be6573fbf11",
+        "81e1490bdaa1318e001a9ea2a4c5431cc2f8be6b291eb472bb257bba4d998eb1",
+        "2e8610d172e5db9f5955d439ab5f189954dd84f4eeb6a51796be610836fd85d3",
+    ),
+}
+
+
+ARTIFACT_NAMES = ("trajectory_csv", "probs_csv", "summary_json", "plot_svg")
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("preset_seed", sorted(GOLDEN_ARTIFACTS))
+    def test_artifact_bytes_are_pinned(self, preset_seed, tmp_path):
+        preset, seed = preset_seed
+        artifacts = emit_artifacts(run_episode(preset_config(preset, seed=seed)), tmp_path)
+        observed = tuple(
+            hashlib.sha256(getattr(artifacts, name).read_bytes()).hexdigest()
+            for name in ARTIFACT_NAMES
+        )
+        assert observed == GOLDEN_ARTIFACTS[preset_seed]
+
+
 class TestMain:
     def test_run_verb(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -293,6 +370,29 @@ class TestMain:
         assert err.count("error:") == 1
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "config,field",
+        [
+            ({"robot": {"c": float("nan")}}, "robot.c"),
+            ({"world": {"tolerance": float("inf")}}, "world.tolerance"),
+            ({"world": {"goal": [float("-inf"), 0.0]}}, "world.goal[0]"),
+            (
+                {"world": {"obstacles": [{"shape": "circle", "center": [10, 10], "radius": float("nan")}]}},
+                "world.obstacles[0].radius",
+            ),
+            ({"robot": {"T": 10**400}}, "robot.T"),
+        ],
+    )
+    def test_non_finite_config_number_exits_nonzero(self, tmp_path, capsys, config, field):
+        path = write_config(tmp_path, {"preset": 4, "seed": 1, **config})
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config field '{field}': expected a finite number")
+        assert captured.err.count("error:") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LA_NAV_SEED", "42")

@@ -229,6 +229,10 @@ class TestPoseAndParams:
             {"axle_length": -1.0},
             {"wheel_speed": -0.5},
             {"action_duration": 0.0},
+            {"wheel_radius": math.nan},
+            {"axle_length": math.nan},
+            {"wheel_speed": math.nan},
+            {"action_duration": math.nan},
         ],
     )
     def test_params_validation(self, kwargs):

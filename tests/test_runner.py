@@ -236,6 +236,16 @@ class TestPresets:
             preset_config(9, seed=0)
 
 
+class TestWorldSpecValidation:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tolerance": math.nan}, {"tolerance": 0.0}, {"min_start_distance": math.nan}],
+    )
+    def test_rejects_non_positive_or_nan(self, kwargs):
+        with pytest.raises(ValueError):
+            WorldSpec(**kwargs)
+
+
 class TestBatch:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):

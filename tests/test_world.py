@@ -24,6 +24,108 @@ def make_world(goal=(50.0, 0.0), tolerance=2.0, obstacles=(), bounds=None):
     return World(goal, tolerance, obstacles, bounds or Bounds())
 
 
+_ORACLE_FRACTIONS = np.arange(1, 33) / 32.0
+
+
+def _oracle_any_contains(obs, xs, ys):
+    # The vectorised containment tests of the numpy chord rule.
+    if isinstance(obs, CircleObstacle):
+        dx = xs - obs.center[0]
+        dy = ys - obs.center[1]
+        return bool(np.any(dx * dx + dy * dy < obs.radius * obs.radius))
+    inside = (
+        (xs > obs.min_corner[0])
+        & (xs < obs.max_corner[0])
+        & (ys > obs.min_corner[1])
+        & (ys < obs.max_corner[1])
+    )
+    return bool(np.any(inside))
+
+
+def chord_sample_oracle(start, proposed, world):
+    """The numpy 32-sample chord rule that the scalar broadphase replaced."""
+    for obs in world.obstacles:
+        if obs.contains(start.x, start.y):
+            raise ValueError(f"start pose ({start.x}, {start.y}) lies inside obstacle {obs!r}")
+    if not world.bounds.contains(proposed.x, proposed.y):
+        return start, True
+    if world.obstacles:
+        xs = start.x + _ORACLE_FRACTIONS * (proposed.x - start.x)
+        ys = start.y + _ORACLE_FRACTIONS * (proposed.y - start.y)
+        for obs in world.obstacles:
+            if obs.contains(proposed.x, proposed.y) or _oracle_any_contains(obs, xs, ys):
+                return start, True
+    return proposed, False
+
+
+def boundary_hugging_moves(rng, scale, count):
+    """Seeded (start, proposed, world) moves that graze disc and thin-box boundaries.
+
+    Every length is multiplied by ``scale`` and the obstacles sit about
+    40*scale from the origin, so coordinates are large relative to a move.
+    Move kinds cycle through: starts 1e-15..0.3 r off a disc, moves around
+    a box 0.001-10 (times scale) thin, chords tangent to a disc at their
+    midpoint, moves along a box face at offset 0 or nearly 0, zero-length
+    moves next to either obstacle, and moves that end on a disc's boundary
+    or a box face, where the broadphase bound is tight.
+    """
+    bounds = Bounds(-100 * scale, -100 * scale, 100 * scale, 100 * scale)
+    goal = (95 * scale, 95 * scale)
+    for i in range(count):
+        kind = i % 6
+        cx, cy = (40 + rng.uniform(-20, 20)) * scale, (40 + rng.uniform(-20, 20)) * scale
+        a = rng.uniform(0, 2 * math.pi)
+        nx, ny = math.cos(a), math.sin(a)
+        step = rng.uniform(0, 4) * scale
+        if kind in (0, 2, 5) or (kind == 4 and i % 2):
+            r = rng.uniform(0.5, 15) * scale
+            obs = CircleObstacle((cx, cy), r)
+            gap = r * 10 ** rng.uniform(-15, math.log10(0.3))
+            sx, sy = cx + (r + gap) * nx, cy + (r + gap) * ny
+            if kind == 5:
+                # Straight at the disc, ending a hair either side of its boundary.
+                edge = r * (1 + rng.uniform(-1, 1) * 10 ** rng.uniform(-16, -12))
+                px, py = cx + edge * nx, cy + edge * ny
+                sx, sy = px + step * nx, py + step * ny
+                dx, dy = px - sx, py - sy
+            elif kind == 2:
+                # Chord tangent to the disc at its midpoint.
+                sx, sy = sx + 0.5 * step * ny, sy - 0.5 * step * nx
+                dx, dy = -step * ny, step * nx
+            elif rng.random() < 0.5:
+                # Head into the disc, give or take 30 degrees.
+                b = a + math.pi + rng.uniform(-0.5, 0.5)
+                dx, dy = step * math.cos(b), step * math.sin(b)
+            else:
+                dx, dy = step * math.cos(a + rng.uniform(-3, 3)), step * math.sin(a + rng.uniform(-3, 3))
+        else:
+            thin = 10 ** rng.uniform(-3, 1) * scale
+            length = rng.uniform(1, 30) * scale
+            w, h = (thin, length) if rng.random() < 0.5 else (length, thin)
+            obs = RectObstacle((cx, cy), (cx + w, cy + h))
+            if kind == 3:
+                # Along a face, on it or a hair off it, almost parallel.
+                offset = 0.0 if rng.random() < 0.5 else 10 ** rng.uniform(-16, -6) * scale
+                tilt = 0.0 if rng.random() < 0.5 else 10 ** rng.uniform(-16, -6)
+                t0 = rng.uniform(-0.2, 1.2)
+                if w < h:
+                    sx, sy = cx + w + offset, cy + t0 * h
+                    dx, dy = tilt * step, step * (1 if rng.random() < 0.5 else -1)
+                else:
+                    sx, sy = cx + t0 * w, cy - offset
+                    dx, dy = step * (1 if rng.random() < 0.5 else -1), -tilt * step
+            else:
+                sx = cx + rng.uniform(-3, 3) * scale + rng.uniform(0, 1) * w
+                sy = cy + rng.uniform(-3, 3) * scale + rng.uniform(0, 1) * h
+                b = rng.uniform(0, 2 * math.pi)
+                dx, dy = step * math.cos(b), step * math.sin(b)
+        if kind == 4:
+            dx = dy = 0.0
+        start = RobotPose(sx, sy, a)
+        proposed = RobotPose(sx + dx, sy + dy, a + 0.25)
+        yield start, proposed, make_world(goal=goal, obstacles=(obs,), bounds=bounds)
+
+
 class TestDistance:
     def test_at_goal(self):
         w = make_world(goal=(3.0, 4.0))
@@ -168,6 +270,24 @@ class TestResolveMotion:
             assert w.bounds.contains(pose.x, pose.y)
             assert not any(o.contains(pose.x, pose.y) for o in obstacles)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_matches_chord_sample_oracle(self, scale):
+        rng = np.random.Generator(np.random.PCG64(int(scale)))
+        outcomes = {"free": 0, "blocked": 0, "start_inside": 0}
+        for start, proposed, world in boundary_hugging_moves(rng, scale, 7000):
+            try:
+                expected = chord_sample_oracle(start, proposed, world)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as err:
+                    resolve_motion(start, proposed, world)
+                assert str(err.value) == str(exc)
+                outcomes["start_inside"] += 1
+                continue
+            final, blocked = resolve_motion(start, proposed, world)
+            assert final is expected[0] and blocked is expected[1], (start, proposed, world)
+            outcomes["blocked" if blocked else "free"] += 1
+        assert min(outcomes.values()) >= 50, outcomes
+
 
 class TestGeometryTypes:
     def test_world_rejects_goal_outside_bounds(self):
@@ -181,6 +301,12 @@ class TestGeometryTypes:
     def test_world_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             World((10.0, 0.0), 0.0, (), Bounds())
+
+    def test_nan_sizes_rejected(self):
+        with pytest.raises(ValueError):
+            World((10.0, 0.0), math.nan, (), Bounds())
+        with pytest.raises(ValueError):
+            CircleObstacle((0.0, 0.0), math.nan)
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):
