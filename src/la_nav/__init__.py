@@ -10,12 +10,10 @@ a CLI that emits CSV/JSON telemetry and SVG trajectory plots.
 from .automata import (
     FAILURE,
     SUCCESS,
-    Feedback,
     LearningScheme,
     PModelFeedback,
     ProbabilityVector,
     SchemeKind,
-    SModelFeedback,
     apply_feedback,
     init_uniform,
     select_action,

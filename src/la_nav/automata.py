@@ -70,7 +70,6 @@ class SchemeKind(str, Enum):
     LRP = "lrp"
     LRI = "lri"
     PENALTY_ONLY = "penalty_only"
-    S_MODEL = "s_model"
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,8 +78,8 @@ class LearningScheme:
 
     ``reward_rate`` scales updates after successes, ``penalty_rate`` after
     failures. The family constrains the two rates: reward-penalty ties them
-    together, reward-inaction zeroes the penalty, penalty-only zeroes the
-    reward, and the continuous-feedback scheme uses ``reward_rate`` alone.
+    together, reward-inaction zeroes the penalty, and penalty-only zeroes
+    the reward.
     """
 
     kind: SchemeKind
@@ -99,8 +98,6 @@ class LearningScheme:
             raise ValueError("reward-inaction scheme requires a zero penalty rate")
         if kind is SchemeKind.PENALTY_ONLY and self.reward_rate != 0.0:
             raise ValueError("penalty-only scheme requires a zero reward rate")
-        if kind is SchemeKind.S_MODEL and not 0.0 < self.reward_rate < 1.0:
-            raise ValueError("continuous-feedback scheme requires reward rate in (0, 1)")
 
     @classmethod
     def general(cls, reward_rate: float, penalty_rate: float) -> "LearningScheme":
@@ -118,10 +115,6 @@ class LearningScheme:
     def penalty_only(cls, penalty_rate: float) -> "LearningScheme":
         return cls(SchemeKind.PENALTY_ONLY, 0.0, penalty_rate)
 
-    @classmethod
-    def s_model(cls, learning_rate: float) -> "LearningScheme":
-        return cls(SchemeKind.S_MODEL, learning_rate, 0.0)
-
 
 @dataclass(frozen=True, slots=True)
 class PModelFeedback:
@@ -133,19 +126,6 @@ class PModelFeedback:
         if self.flag not in (0, 1):
             raise ValueError(f"flag must be 0 or 1, got {self.flag!r}")
 
-
-@dataclass(frozen=True, slots=True)
-class SModelFeedback:
-    """Continuous environment response in [0, 1]; 0 is best, 1 is worst."""
-
-    response: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.response <= 1.0:
-            raise ValueError(f"response {self.response!r} outside [0, 1]")
-
-
-Feedback = PModelFeedback | SModelFeedback
 
 SUCCESS = PModelFeedback(0)
 FAILURE = PModelFeedback(1)
@@ -245,21 +225,13 @@ def update_s_model(
 
 
 def apply_feedback(
-    p: ProbabilityVector, chosen: int, fb: Feedback, scheme: LearningScheme
+    p: ProbabilityVector, chosen: int, fb: PModelFeedback, scheme: LearningScheme
 ) -> ProbabilityVector:
-    """Dispatch feedback to the matching update rule for ``scheme``.
+    """Apply binary feedback with the rates of ``scheme``.
 
-    Binary feedback drives the favorable/unfavorable pair; continuous
-    feedback drives the graded update.
+    A success (flag 0) takes the favorable update with ``reward_rate``, a
+    failure (flag 1) the unfavorable one with ``penalty_rate``.
     """
-    if isinstance(fb, SModelFeedback):
-        if scheme.kind is not SchemeKind.S_MODEL:
-            raise ValueError(
-                f"continuous feedback is incompatible with scheme kind {scheme.kind.value!r}"
-            )
-        return update_s_model(p, chosen, fb.response, scheme.reward_rate)
-    if scheme.kind is SchemeKind.S_MODEL:
-        raise ValueError("binary feedback is incompatible with the continuous-feedback scheme")
     if fb.flag == 0:
         return update_p_favorable(p, chosen, scheme.reward_rate)
     return update_p_unfavorable(p, chosen, scheme.penalty_rate)

@@ -143,10 +143,6 @@ def _build_scheme(data: dict) -> LearningScheme:
         if b is None:
             raise ConfigError("scheme.b", "penalty-only scheme needs a penalty rate")
         a = a if a is not None else 0.0
-    elif kind is SchemeKind.S_MODEL:
-        if a is None:
-            raise ConfigError("scheme.a", "continuous-feedback scheme needs a learning rate")
-        b = 0.0
     else:
         if a is None or b is None:
             raise ConfigError("scheme", "general scheme needs both 'a' and 'b'")
@@ -283,6 +279,8 @@ def parse_config(
                 raise ConfigError(
                     str(path), f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
                 ) from None
+            except UnicodeDecodeError as exc:
+                raise ConfigError(str(path), f"not UTF-8 text: {exc.reason}") from None
         if not isinstance(data, dict):
             raise ConfigError(str(path), "top level must be a JSON object")
     else:
@@ -502,12 +500,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_batch(args: argparse.Namespace) -> int:
     seeds = _parse_seed_range(args.seeds)
+    # --parallelism is validated but has no effect: batches run serially.
     if args.parallelism < 1:
         raise ConfigError("parallelism", f"must be >= 1, got {args.parallelism}")
     overrides = _cli_overrides(args)
     overrides.setdefault("seed", seeds[0])
     template = parse_config(args.config, overrides)
-    result = run_batch(template, seeds, parallelism=args.parallelism)
+    result = run_batch(template, seeds)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -573,7 +572,12 @@ def _build_parser() -> argparse.ArgumentParser:
     batch_p = sub.add_parser("batch", help="run one episode per seed")
     add_common(batch_p)
     batch_p.add_argument("--seeds", required=True, help="seed range A..B (inclusive) or a single seed")
-    batch_p.add_argument("--parallelism", type=int, default=1, help="worker threads (default: 1)")
+    batch_p.add_argument(
+        "--parallelism",
+        type=int,
+        default=1,
+        help="accepted for compatibility and must be >= 1; has no effect, batches run serially",
+    )
     batch_p.set_defaults(func=_cmd_batch)
 
     presets_p = sub.add_parser("presets", help="list the built-in experiment presets")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -23,7 +22,6 @@ from .automata import (
     LearningScheme,
     PModelFeedback,
     ProbabilityVector,
-    SchemeKind,
     apply_feedback,
     init_uniform,
     select_action,
@@ -235,11 +233,7 @@ def build_world(spec: WorldSpec, rng: np.random.Generator) -> World:
     return World(goal, spec.tolerance, spec.obstacles, spec.bounds)
 
 
-def _check_runnable(config: ExperimentConfig, world: World) -> None:
-    if config.scheme.kind is SchemeKind.S_MODEL:
-        raise ConfigError(
-            "scheme.kind", "the continuous-feedback scheme cannot drive the flag-feedback loop"
-        )
+def _check_runnable(world: World) -> None:
     if not world.bounds.contains(0.0, 0.0):
         raise ConfigError("world.bounds", "bounds must contain the start position (0, 0)")
     for obs in world.obstacles:
@@ -251,7 +245,7 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
     """Run one full episode; deterministic for a given config and seed."""
     rng = np.random.Generator(np.random.PCG64(config.seed))
     world = build_world(config.world, rng)
-    _check_runnable(config, world)
+    _check_runnable(world)
 
     scheme = config.scheme
     params = config.robot
@@ -387,35 +381,27 @@ def summarize(records: tuple[RunRecord, ...], failures: tuple[SeedFailure, ...] 
     )
 
 
-def run_batch(
-    config_template: ExperimentConfig, seeds: list[int], parallelism: int = 1
-) -> BatchResult:
-    """Run one episode per seed, order-stable in the seed list's order.
+def run_batch(config_template: ExperimentConfig, seeds: list[int]) -> BatchResult:
+    """Run one episode per seed, serially, in the seed list's order.
 
-    Each episode owns its generator, so results are independent of the
-    worker count. Seeds whose world cannot be built become
+    Each episode owns its generator, so a seed's run does not depend on
+    the other seeds in the list. Seeds whose world cannot be built become
     :class:`SeedFailure` entries instead of aborting the batch.
     """
     if not seeds:
         raise ValueError("seed list must not be empty")
-    if parallelism < 1:
-        raise ValueError(f"parallelism must be >= 1, got {parallelism!r}")
-
-    def one(seed: int) -> RunRecord | SeedFailure:
+    records: list[RunRecord] = []
+    failures: list[SeedFailure] = []
+    for seed in seeds:
         try:
-            return run_episode(replace(config_template, seed=seed))
+            records.append(run_episode(replace(config_template, seed=seed)))
         except SimulationError as exc:
-            return SeedFailure(seed=seed, error=str(exc))
-
-    if parallelism == 1:
-        outcomes = [one(s) for s in seeds]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            outcomes = list(pool.map(one, seeds))
-
-    records = tuple(o for o in outcomes if isinstance(o, RunRecord))
-    failures = tuple(o for o in outcomes if isinstance(o, SeedFailure))
-    return BatchResult(records=records, failures=failures, summary=summarize(records, failures))
+            failures.append(SeedFailure(seed=seed, error=str(exc)))
+    return BatchResult(
+        records=tuple(records),
+        failures=tuple(failures),
+        summary=summarize(tuple(records), tuple(failures)),
+    )
 
 
 _PRESET_SCHEMES = {

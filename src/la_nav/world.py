@@ -45,6 +45,10 @@ class Bounds:
     y_max: float = 100.0
 
     def __post_init__(self) -> None:
+        # A non-finite corner makes the width or height non-finite too, and
+        # a finite width and height keep goal sampling within float range.
+        if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.y_max - self.y_min)):
+            raise ValueError(f"expected a finite number for every corner, width and height, got {self!r}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate bounds {self!r}")
 
@@ -66,6 +70,8 @@ class CircleObstacle:
         if not self.radius > 0:
             raise ValueError(f"circle radius must be positive, got {self.radius!r}")
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        if not (math.isfinite(self.center[0]) and math.isfinite(self.center[1])):
+            raise ValueError(f"circle center must be finite, got {self.center!r}")
 
     def contains(self, x: float, y: float) -> bool:
         dx = x - self.center[0]
@@ -95,6 +101,8 @@ class RectObstacle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "min_corner", (float(self.min_corner[0]), float(self.min_corner[1])))
         object.__setattr__(self, "max_corner", (float(self.max_corner[0]), float(self.max_corner[1])))
+        if not all(math.isfinite(v) for v in (*self.min_corner, *self.max_corner)):
+            raise ValueError(f"rectangle corners must be finite, got {self!r}")
         if not (self.min_corner[0] < self.max_corner[0] and self.min_corner[1] < self.max_corner[1]):
             raise ValueError(f"degenerate rectangle {self!r}")
 

@@ -9,7 +9,6 @@ from la_nav import (
     PModelFeedback,
     ProbabilityVector,
     SchemeKind,
-    SModelFeedback,
     apply_feedback,
     init_uniform,
     select_action,
@@ -141,7 +140,6 @@ class TestLearningScheme:
         assert LearningScheme.lri(0.7).penalty_rate == 0.0
         assert LearningScheme.penalty_only(0.7).reward_rate == 0.0
         assert LearningScheme.general(0.3, 0.6).kind is SchemeKind.GENERAL_P
-        assert LearningScheme.s_model(0.5).kind is SchemeKind.S_MODEL
 
     def test_lrp_requires_equal_rates(self):
         with pytest.raises(ValueError):
@@ -155,11 +153,6 @@ class TestLearningScheme:
         with pytest.raises(ValueError):
             LearningScheme(SchemeKind.PENALTY_ONLY, 0.1, 0.7)
 
-    @pytest.mark.parametrize("rate", [0.0, 1.0])
-    def test_s_model_requires_open_interval(self, rate):
-        with pytest.raises(ValueError):
-            LearningScheme.s_model(rate)
-
     @pytest.mark.parametrize("a,b", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)])
     def test_rates_bounded(self, a, b):
         with pytest.raises(ValueError):
@@ -172,12 +165,6 @@ class TestFeedbackTypes:
         assert FAILURE.flag == 1
         with pytest.raises(ValueError):
             PModelFeedback(2)
-
-    def test_continuous_response_bounded(self):
-        SModelFeedback(0.0)
-        SModelFeedback(1.0)
-        with pytest.raises(ValueError):
-            SModelFeedback(1.5)
 
 
 class TestApplyFeedback:
@@ -194,17 +181,6 @@ class TestApplyFeedback:
     def test_reward_inaction_ignores_failures(self):
         scheme = LearningScheme.lri(0.7)
         assert apply_feedback(UNIFORM6, 2, FAILURE, scheme) is UNIFORM6
-
-    def test_continuous_feedback_with_continuous_scheme(self):
-        scheme = LearningScheme.s_model(0.7)
-        out = apply_feedback(UNIFORM6, 1, SModelFeedback(0.5), scheme)
-        assert out == update_s_model(UNIFORM6, 1, 0.5, 0.7)
-
-    def test_mismatched_variants_rejected(self):
-        with pytest.raises(ValueError):
-            apply_feedback(UNIFORM6, 1, SModelFeedback(0.5), LearningScheme.lrp(0.7))
-        with pytest.raises(ValueError):
-            apply_feedback(UNIFORM6, 1, SUCCESS, LearningScheme.s_model(0.5))
 
 
 class TestSelectAction:

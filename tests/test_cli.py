@@ -74,6 +74,22 @@ class TestParseConfig:
             parse_config(path)
         assert "line 3" in str(err.value)
 
+    def test_non_utf8_config_exits_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe\x00")
+        code = main(["run", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config field '{path}': not UTF-8 text")
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+
+    def test_s_model_kind_rejected(self, tmp_path):
+        path = write_config(tmp_path, {"seed": 1, "scheme": {"kind": "s_model", "a": 0.5}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert err.value.field == "scheme.kind"
+
     def test_goal_and_random_goal_conflict(self, tmp_path):
         path = write_config(
             tmp_path,
@@ -329,18 +345,25 @@ class TestMain:
         )
         assert code == 0
 
-    def test_batch_verb(self, tmp_path, capsys):
-        out = tmp_path / "batch"
+    @pytest.mark.parametrize("parallelism", ["1", "2"])
+    def test_batch_verb(self, tmp_path, capsys, parallelism):
+        # --parallelism has no effect: the output equals a run without the flag.
+        out, ref = tmp_path / "batch", tmp_path / "ref"
         code = main(
-            ["batch", "--preset", "1", "--seeds", "1..3", "--parallelism", "2", "--out", str(out)]
+            ["batch", "--preset", "1", "--seeds", "1..3", "--parallelism", parallelism,
+             "--out", str(out)]
         )
         assert code == 0
         doc = json.loads((out / "batch_summary.json").read_text())
         assert doc["seeds"] == [1, 2, 3]
         assert doc["summary"]["runs"] == 3
-        for seed in (1, 2, 3):
-            assert (out / f"seed_{seed}" / "trajectory.csv").exists()
         assert "3 runs" in capsys.readouterr().out
+        assert main(["batch", "--preset", "1", "--seeds", "1..3", "--out", str(ref)]) == 0
+        files = sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        assert len(files) == 1 + 3 * 4
+        assert files == sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
+        for name in files:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
     def test_presets_verb(self, capsys):
         assert main(["presets"]) == 0
@@ -382,6 +405,7 @@ class TestMain:
                 "world.obstacles[0].radius",
             ),
             ({"robot": {"T": 10**400}}, "robot.T"),
+            ({"world": {"bounds": {"min": [1e308, -1e308], "max": [1.7e308, 1e308]}}}, "world.bounds"),
         ],
     )
     def test_non_finite_config_number_exits_nonzero(self, tmp_path, capsys, config, field):

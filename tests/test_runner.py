@@ -112,11 +112,6 @@ class TestEpisode:
         record = run_episode(pinned_goal_config())
         assert record.rng_algorithm == "pcg64"
 
-    def test_continuous_scheme_is_not_runnable(self):
-        config = pinned_goal_config(scheme=LearningScheme.s_model(0.5))
-        with pytest.raises(ConfigError):
-            run_episode(config)
-
     def test_start_inside_obstacle_fails_before_stepping(self):
         config = pinned_goal_config(
             world=WorldSpec(goal=(40.0, 0.0), obstacles=(CircleObstacle((0.0, 0.0), 5.0),))
@@ -251,20 +246,9 @@ class TestBatch:
         with pytest.raises(ValueError):
             run_batch(preset_config(1, seed=0), [])
 
-    def test_bad_parallelism_rejected(self):
-        with pytest.raises(ValueError):
-            run_batch(preset_config(1, seed=0), [1], parallelism=0)
-
     def test_order_stable_by_seed_list(self):
         result = run_batch(preset_config(1, seed=0), [5, 1, 3])
         assert [r.seed for r in result.records] == [5, 1, 3]
-
-    def test_parallelism_does_not_change_results(self):
-        serial = run_batch(preset_config(1, seed=0), [1, 2, 3], parallelism=1)
-        threaded = run_batch(preset_config(1, seed=0), [1, 2, 3], parallelism=8)
-        for a, b in zip(serial.records, threaded.records):
-            assert a.steps == b.steps
-            assert a.config_digest == b.config_digest
 
     def test_infeasible_seed_recorded_not_raised(self):
         template = ExperimentConfig(

@@ -307,6 +307,14 @@ class TestGeometryTypes:
             World((10.0, 0.0), math.nan, (), Bounds())
         with pytest.raises(ValueError):
             CircleObstacle((0.0, 0.0), math.nan)
+        with pytest.raises(ValueError):
+            CircleObstacle((math.nan, 0.0), 5.0)
+        with pytest.raises(ValueError):
+            RectObstacle((0.0, 0.0), (math.inf, 1.0))
+        with pytest.raises(ValueError):
+            Bounds(-math.inf, -1.0, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            Bounds(1e308, -1e308, 1.7e308, 1e308)  # the height overflows to inf
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):
