@@ -78,6 +78,9 @@ class WorldSpec:
             )
         if self.auto_blocking_pair and self.obstacles:
             raise ValueError("auto_blocking_pair replaces the obstacle list; give one or the other")
+        if self.auto_blocking_pair and self.goal == (0.0, 0.0):
+            # The pair straddles the start-to-goal line, which needs a direction.
+            raise ValueError("auto_blocking_pair needs a goal away from the start (0, 0)")
 
     def to_dict(self) -> dict:
         out: dict = {}

@@ -22,17 +22,20 @@ GOAL_TOLERANCE_CM = 2.0
 DEFAULT_MIN_START_DISTANCE_CM = 20.0
 _MAX_SAMPLE_ATTEMPTS = 10_000
 
-# Chord samples for obstacle tests, as fractions of the move; the last lands
-# on the proposed endpoint, which is additionally checked with exact
-# coordinates. Every k/32 is exact in binary floating point.
-_SAMPLE_FRACTIONS = tuple(k / 32 for k in range(1, 33))
 
-# Slack of the collision broadphase, relative to the coordinate magnitude.
-# Rounding in the chord samples, the midpoint, the chord length, the
-# clearance and the containment test is each a few units in the last place
-# of the largest coordinate involved, together below 1e-14 of it; 1e-12
-# leaves ample room and is still far below any move length.
-_BROADPHASE_REL_MARGIN = 1e-12
+def _finite(value: float, what: str) -> float:
+    """``value`` as a float; ValueError if it is not finite or beyond float range."""
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an integer beyond float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
+
+
+def _point(point: tuple[float, float], what: str) -> tuple[float, float]:
+    return _finite(point[0], what), _finite(point[1], what)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +48,9 @@ class Bounds:
     y_max: float = 100.0
 
     def __post_init__(self) -> None:
-        # A non-finite corner makes the width or height non-finite too, and
-        # a finite width and height keep goal sampling within float range.
+        for name in ("x_min", "y_min", "x_max", "y_max"):
+            object.__setattr__(self, name, _finite(getattr(self, name), f"bounds {name}"))
+        # A finite width and height keep goal sampling within float range.
         if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.y_max - self.y_min)):
             raise ValueError(f"expected a finite number for every corner, width and height, got {self!r}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -67,11 +71,10 @@ class CircleObstacle:
     radius: float
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "radius", _finite(self.radius, "circle radius"))
         if not self.radius > 0:
             raise ValueError(f"circle radius must be positive, got {self.radius!r}")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        if not (math.isfinite(self.center[0]) and math.isfinite(self.center[1])):
-            raise ValueError(f"circle center must be finite, got {self.center!r}")
+        object.__setattr__(self, "center", _point(self.center, "circle center"))
 
     def contains(self, x: float, y: float) -> bool:
         dx = x - self.center[0]
@@ -83,12 +86,25 @@ class CircleObstacle:
         gap = math.hypot(x - self.center[0], y - self.center[1]) - self.radius
         return gap if gap > 0.0 else 0.0
 
+    def crosses(self, sx: float, sy: float, px: float, py: float) -> bool:
+        """True when the segment from (sx, sy) to (px, py) enters the open disc.
+
+        The closest segment point to the centre decides, as in :meth:`contains`.
+        """
+        ax = sx - self.center[0]
+        ay = sy - self.center[1]
+        dx = px - sx
+        dy = py - sy
+        along = -(ax * dx + ay * dy)
+        if along > 0.0:
+            length_sq = dx * dx + dy * dy
+            t = along / length_sq if along < length_sq else 1.0
+            ax += t * dx
+            ay += t * dy
+        return ax * ax + ay * ay < self.radius * self.radius
+
     def to_dict(self) -> dict:
         return {"shape": "circle", "center": list(self.center), "radius": self.radius}
-
-    def coordinate_scale(self) -> float:
-        """Largest coordinate magnitude of any point of the disc."""
-        return max(abs(self.center[0]), abs(self.center[1])) + self.radius
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,10 +115,8 @@ class RectObstacle:
     max_corner: tuple[float, float]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "min_corner", (float(self.min_corner[0]), float(self.min_corner[1])))
-        object.__setattr__(self, "max_corner", (float(self.max_corner[0]), float(self.max_corner[1])))
-        if not all(math.isfinite(v) for v in (*self.min_corner, *self.max_corner)):
-            raise ValueError(f"rectangle corners must be finite, got {self!r}")
+        object.__setattr__(self, "min_corner", _point(self.min_corner, "rectangle min corner"))
+        object.__setattr__(self, "max_corner", _point(self.max_corner, "rectangle max corner"))
         if not (self.min_corner[0] < self.max_corner[0] and self.min_corner[1] < self.max_corner[1]):
             raise ValueError(f"degenerate rectangle {self!r}")
 
@@ -118,12 +132,27 @@ class RectObstacle:
         dy = max(self.min_corner[1] - y, 0.0, y - self.max_corner[1])
         return math.hypot(dx, dy)
 
+    def crosses(self, sx: float, sy: float, px: float, py: float) -> bool:
+        """True when the segment from (sx, sy) to (px, py) enters the open box.
+
+        Slab clip: the open parameter intervals of both axes and [0, 1] must
+        overlap; an axis without displacement must lie strictly between its faces.
+        """
+        t_in, t_out = 0.0, 1.0
+        for s, d, lo, hi in (
+            (sx, px - sx, self.min_corner[0], self.max_corner[0]),
+            (sy, py - sy, self.min_corner[1], self.max_corner[1]),
+        ):
+            if d == 0.0:
+                if not lo < s < hi:
+                    return False
+            else:
+                t_lo, t_hi = sorted(((lo - s) / d, (hi - s) / d))
+                t_in, t_out = max(t_in, t_lo), min(t_out, t_hi)
+        return t_in < t_out
+
     def to_dict(self) -> dict:
         return {"shape": "rect", "min": list(self.min_corner), "max": list(self.max_corner)}
-
-    def coordinate_scale(self) -> float:
-        """Largest coordinate magnitude of any point of the box."""
-        return max(abs(v) for v in (*self.min_corner, *self.max_corner))
 
 
 Obstacle = CircleObstacle | RectObstacle
@@ -131,25 +160,17 @@ Obstacle = CircleObstacle | RectObstacle
 
 @dataclass(frozen=True, slots=True)
 class World:
-    """Immutable workspace: goal point, tolerance, obstacles, bounds.
-
-    ``obstacle_scale`` is derived: the largest coordinate magnitude of any
-    obstacle point (0 without obstacles). It scales the collision
-    broadphase margin in :func:`resolve_motion`.
-    """
+    """Immutable workspace: goal point, tolerance, obstacles, bounds."""
 
     goal: tuple[float, float]
     goal_tolerance: float = GOAL_TOLERANCE_CM
     obstacles: tuple[Obstacle, ...] = ()
     bounds: Bounds = field(default_factory=Bounds)
-    obstacle_scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
+        object.__setattr__(self, "goal", _point(self.goal, "goal"))
+        object.__setattr__(self, "goal_tolerance", _finite(self.goal_tolerance, "goal tolerance"))
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        object.__setattr__(
-            self, "obstacle_scale", max((o.coordinate_scale() for o in self.obstacles), default=0.0)
-        )
         if not self.goal_tolerance > 0:
             raise ValueError(f"goal tolerance must be positive, got {self.goal_tolerance!r}")
         gx, gy = self.goal
@@ -225,22 +246,11 @@ def resolve_motion(
 ) -> tuple[RobotPose, bool]:
     """Accept or wholly reject a proposed move.
 
-    The straight chord from ``start`` to ``proposed`` is sampled at the 32
-    points ``start + (k/32)*(proposed - start)``, k = 1..32, plus the exact
-    endpoint; if any sample falls inside an obstacle, or the endpoint leaves
-    the bounds, the move is rejected and the robot stays at ``start``. The
-    bounds are convex, so only the endpoint needs a bounds test.
-
-    A broadphase skips the samples of every obstacle the chord cannot reach.
-    With ``m`` the chord midpoint and ``L`` the chord length, an obstacle is
-    skipped when its exterior clearance at ``m`` exceeds ``L/2 + margin``.
-    Every chord point lies within ``L/2`` of ``m``, so by the triangle
-    inequality it is more than ``margin`` outside the obstacle. The margin
-    is relative to the largest coordinate magnitude of the chord and of the
-    obstacles, and covers the rounding of the midpoint, the clearance, the
-    samples and the containment test. A skipped obstacle is therefore one
-    for which every sample would have tested outside: the broadphase never
-    changes a decision.
+    The move is rejected, and the robot stays at ``start``, when its
+    endpoint leaves the bounds (convex, so the endpoint suffices) or its
+    straight chord enters an obstacle's open interior. The endpoint's own
+    coordinates are tested first: the chord's computed endpoint can round
+    differently, and an accepted endpoint must test outside every obstacle.
     """
     obstacles = world.obstacles
     sx = start.x
@@ -252,20 +262,7 @@ def resolve_motion(
     py = proposed.y
     if not world.bounds.contains(px, py):
         return start, True
-    if obstacles:
-        dx = px - sx
-        dy = py - sy
-        mx = sx + 0.5 * dx
-        my = sy + 0.5 * dy
-        half = 0.5 * math.hypot(dx, dy)
-        reach = half + _BROADPHASE_REL_MARGIN * (world.obstacle_scale + abs(mx) + abs(my) + half)
-        for obs in obstacles:
-            if obs.exterior_clearance(mx, my) > reach:
-                continue
-            contains = obs.contains
-            if contains(px, py):
-                return start, True
-            for f in _SAMPLE_FRACTIONS:
-                if contains(sx + f * dx, sy + f * dy):
-                    return start, True
+    for obs in obstacles:
+        if obs.contains(px, py) or obs.crosses(sx, sy, px, py):
+            return start, True
     return proposed, False

@@ -418,6 +418,20 @@ class TestMain:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    def test_goal_at_start_with_derived_discs_exits_nonzero(self, tmp_path, capsys):
+        # The derived pair straddles the start-to-goal line, which has no direction here.
+        path = write_config(
+            tmp_path,
+            {"seed": 1, "scheme": {"kind": "lrp", "a": 0.7}, "world": {"goal": [0, 0], "obstacles": "auto"}},
+        )
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config field 'world':")
+        assert err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_env_fallback(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("LA_NAV_SEED", "42")
         out = tmp_path / "env_out"

@@ -1,6 +1,8 @@
 """World tests: feedback polarity, goal detection, sampling, blocking."""
 
 import math
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def _oracle_any_contains(obs, xs, ys):
 
 
 def chord_sample_oracle(start, proposed, world):
-    """The numpy 32-sample chord rule that the scalar broadphase replaced."""
+    """The numpy 32-sample chord rule that the exact chord tests replaced."""
     for obs in world.obstacles:
         if obs.contains(start.x, start.y):
             raise ValueError(f"start pose ({start.x}, {start.y}) lies inside obstacle {obs!r}")
@@ -58,6 +60,54 @@ def chord_sample_oracle(start, proposed, world):
     return proposed, False
 
 
+def deepest_sample_depth(start, proposed, obs):
+    """How far the deepest of the oracle's chord samples lies inside ``obs``.
+
+    Negative when every sample is outside.
+    """
+    xs = start.x + _ORACLE_FRACTIONS * (proposed.x - start.x)
+    ys = start.y + _ORACLE_FRACTIONS * (proposed.y - start.y)
+    if isinstance(obs, CircleObstacle):
+        depth = obs.radius - np.hypot(xs - obs.center[0], ys - obs.center[1])
+    else:
+        (x0, y0), (x1, y1) = obs.min_corner, obs.max_corner
+        depth = np.minimum.reduce([xs - x0, x1 - xs, ys - y0, y1 - ys])
+    return float(depth.max())
+
+
+def exact_chord_entry(start, proposed, obs):
+    """Whether the chord enters the open interior of ``obs``, in exact rational arithmetic.
+
+    Returns ``(enters, depth)``: ``depth`` is how far the deepest chord point
+    lies inside (for a box, the least of its four face distances), negative
+    for the closest approach of a chord that stays outside.
+    """
+    sx, sy = Fraction(start.x), Fraction(start.y)
+    dx, dy = Fraction(proposed.x) - sx, Fraction(proposed.y) - sy
+    if isinstance(obs, CircleObstacle):
+        ax, ay = sx - Fraction(obs.center[0]), sy - Fraction(obs.center[1])
+        length_sq = dx * dx + dy * dy
+        t = min(max(-(ax * dx + ay * dy) / length_sq, 0), 1) if length_sq else 0
+        dist_sq = (ax + t * dx) ** 2 + (ay + t * dy) ** 2
+        radius = Fraction(obs.radius)
+        return dist_sq < radius * radius, obs.radius - math.sqrt(dist_sq)
+    (x0, y0), (x1, y1) = obs.min_corner, obs.max_corner
+    # Face distances c + k*t along the chord; their minimum is concave in t,
+    # so it peaks at t = 0, t = 1 or where two of them cross.
+    faces = [
+        (sx - Fraction(x0), dx),
+        (Fraction(x1) - sx, -dx),
+        (sy - Fraction(y0), dy),
+        (Fraction(y1) - sy, -dy),
+    ]
+    ts = {Fraction(0), Fraction(1)}
+    for (c1, k1), (c2, k2) in combinations(faces, 2):
+        if k1 != k2 and 0 < (c2 - c1) / (k1 - k2) < 1:
+            ts.add((c2 - c1) / (k1 - k2))
+    depth = max(min(c + k * t for c, k in faces) for t in ts)
+    return depth > 0, float(depth)
+
+
 def boundary_hugging_moves(rng, scale, count):
     """Seeded (start, proposed, world) moves that graze disc and thin-box boundaries.
 
@@ -66,8 +116,8 @@ def boundary_hugging_moves(rng, scale, count):
     Move kinds cycle through: starts 1e-15..0.3 r off a disc, moves around
     a box 0.001-10 (times scale) thin, chords tangent to a disc at their
     midpoint, moves along a box face at offset 0 or nearly 0, zero-length
-    moves next to either obstacle, and moves that end on a disc's boundary
-    or a box face, where the broadphase bound is tight.
+    moves next to either obstacle, and radial moves that end a hair either
+    side of a disc's boundary.
     """
     bounds = Bounds(-100 * scale, -100 * scale, 100 * scale, 100 * scale)
     goal = (95 * scale, 95 * scale)
@@ -224,8 +274,19 @@ class TestResolveMotion:
         assert final is start
         assert blocked is True
 
+    def test_endpoint_a_hair_inside_blocks(self):
+        # The chord's own t = 1 point, computed relative to the start, rounds
+        # to just outside this disc; the endpoint's coordinates test inside.
+        disc = CircleObstacle((-1.5772219124408764, -3.109440904428027), 2.9619469671176235)
+        start = RobotPose(2.6660303667882004, -2.3986467664749247, 0.0)
+        proposed = RobotPose(1.1565351478764825, -1.9693960933866892, 0.0)
+        assert disc.contains(proposed.x, proposed.y)
+        final, blocked = resolve_motion(start, proposed, make_world(obstacles=(disc,)))
+        assert final is start
+        assert blocked is True
+
     def test_crossing_thin_obstacle_blocks(self):
-        # Endpoints flank the slab, only the interior samples cross it.
+        # Endpoints flank the slab; only the chord between them crosses it.
         slab = RectObstacle((4.5, -0.5), (5.5, 0.5))
         w = make_world(obstacles=(slab,))
         start = RobotPose(0.0, 0.0, 0.0)
@@ -270,8 +331,54 @@ class TestResolveMotion:
             assert w.bounds.contains(pose.x, pose.y)
             assert not any(o.contains(pose.x, pose.y) for o in obstacles)
 
+    def test_wall_between_samples_blocks(self):
+        # 0.05 cm thick: no point k/32 of the way along this chord lies inside.
+        w = make_world(obstacles=(RectObstacle((5.05, -1.0), (5.1, 1.0)),))
+        start = RobotPose(0.0, 0.0, 0.0)
+        final, blocked = resolve_motion(start, RobotPose(10.0, 0.0, 0.0), w)
+        assert final is start
+        assert blocked is True
+
+    @pytest.mark.parametrize(
+        "obstacle,start,end",
+        [
+            (CircleObstacle((5.0, 3.0), 3.0), (0.0, 0.0), (10.0, 0.0)),  # tangent at (5, 0)
+            (RectObstacle((2.0, 0.0), (4.0, 2.0)), (0.0, 0.0), (6.0, 0.0)),  # along the face y = 0
+            (RectObstacle((2.0, 0.0), (4.0, 2.0)), (3.0, 3.0), (5.0, 1.0)),  # through the corner (4, 2)
+        ],
+        ids=["tangent", "face", "corner"],
+    )
+    def test_touching_boundary_does_not_block(self, obstacle, start, end):
+        w = make_world(obstacles=(obstacle,))
+        proposed = RobotPose(*end, 0.0)
+        final, blocked = resolve_motion(RobotPose(*start, 0.0), proposed, w)
+        assert final is proposed
+        assert blocked is False
+
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
-    def test_matches_chord_sample_oracle(self, scale):
+    def test_matches_exact_rational_oracle(self, scale):
+        # Floating point may disagree with exact arithmetic only on chords
+        # that pass within 1e-12 * scale of an obstacle boundary.
+        rng = np.random.Generator(np.random.PCG64(int(scale)))
+        outcomes = {"free": 0, "blocked": 0, "near_boundary": 0}
+        for start, proposed, world in boundary_hugging_moves(rng, scale, 7000):
+            (obs,) = world.obstacles
+            if obs.contains(start.x, start.y):
+                continue  # rejected with a ValueError; see the sample-oracle test
+            enters, depth = exact_chord_entry(start, proposed, obs)
+            final, blocked = resolve_motion(start, proposed, world)
+            assert final is (start if blocked else proposed)
+            if blocked != (enters or not world.bounds.contains(proposed.x, proposed.y)):
+                assert abs(depth) <= 1e-12 * scale, (depth, start, proposed, world)
+                outcomes["near_boundary"] += 1
+            outcomes["blocked" if blocked else "free"] += 1
+        assert min(outcomes["free"], outcomes["blocked"]) >= 50, outcomes
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+    def test_blocks_what_chord_sample_oracle_blocks(self, scale):
+        # One-sided: the exact test also blocks chords that pass between two
+        # samples, but every sample the old rule found inside is found too,
+        # unless it lies within 1e-12 * scale of the boundary.
         rng = np.random.Generator(np.random.PCG64(int(scale)))
         outcomes = {"free": 0, "blocked": 0, "start_inside": 0}
         for start, proposed, world in boundary_hugging_moves(rng, scale, 7000):
@@ -284,7 +391,10 @@ class TestResolveMotion:
                 outcomes["start_inside"] += 1
                 continue
             final, blocked = resolve_motion(start, proposed, world)
-            assert final is expected[0] and blocked is expected[1], (start, proposed, world)
+            if expected[1] and not blocked:
+                depth = deepest_sample_depth(start, proposed, world.obstacles[0])
+                assert depth <= 1e-12 * scale, (depth, start, proposed, world)
+            assert final is (start if blocked else proposed)
             outcomes["blocked" if blocked else "free"] += 1
         assert min(outcomes.values()) >= 50, outcomes
 
@@ -315,6 +425,16 @@ class TestGeometryTypes:
             Bounds(-math.inf, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             Bounds(1e308, -1e308, 1.7e308, 1e308)  # the height overflows to inf
+        for build in (
+            lambda: Bounds(-10**400, -1, 1, 1),
+            lambda: RectObstacle((0, 0), (10**400, 1)),
+            lambda: CircleObstacle((10**400, 0), 1.0),
+            lambda: CircleObstacle((0, 0), 10**400),
+            lambda: World((10**400, 0), 2.0),
+            lambda: World((1, 0), 10**400),
+        ):
+            with pytest.raises(ValueError, match="beyond float range"):
+                build()
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):
