@@ -247,7 +247,8 @@ class TestArtifacts:
 
 # sha256 of (trajectory.csv, probs.csv, summary.json, plot.svg) written by
 # emit_artifacts, recorded before the scalar collision rewrite and the leaner
-# CSV row emission; both must keep every byte.
+# CSV row emission; both must keep every byte. The preset 3 rows were
+# recorded before the plain-value engine and its columnar RunRecord.
 GOLDEN_ARTIFACTS = {
     (1, 1): (
         "13211e91756eb38777f56c97cbd2cca61e4da480907f7339cab1bcc2f897c2fe",
@@ -284,6 +285,24 @@ GOLDEN_ARTIFACTS = {
         "fbf346785e7f3fac297229dad029e41b943d612202a2d468f8a7a2398ce5289f",
         "83324f375d4886dfa3d1f21c342dad68bd0abb4dcf07b51edde11903857ca3dd",
         "e5ee7879c316c863cde2fa3deba093160578764b3f478f548789f0e410cb3550",
+    ),
+    (3, 1): (
+        "2907ef1389988ebac12a71bd5d1ae96ed48a9c853d9e10c3522f5167b4413785",
+        "f7e7ae20f4a25d8f85f7d7ae4f6900e7a13b07954cbcb939cb2e6082593b150f",
+        "a61be4ce29a6806dc777eb015edfc46a9eccc4ed6c766e7794efaea0018a1b62",
+        "8235d9d43a00e46bee12a868384a926c22a8ea08cc8286210d749a92a408a144",
+    ),
+    (3, 2): (
+        "eac1567391280343fb611007843689a2e573a4cd84031ed9ac183d9e3b3e4bf1",
+        "46e4446ba9ec35245b73db545904ad8acfd06c0117df2cf504c0c9155faf4c99",
+        "dfb82e34a76862203e4d527b15a9e0be78b4da8dbefb3c213777b5fdd1d19758",
+        "b9595c4fd755219762ebcea6e5dc889b59bd2841ff7c66f69d9a5be1f6fb9a71",
+    ),
+    (3, 3): (
+        "89675842ff841cf52be2d928ea766215a2e67e421d80f19955d631ec2b55caa4",
+        "76efbce0d29c6119e0f49d24a46e0175388ba18340197309b52a3d7470fdda43",
+        "9b05fdfc21c85c62e532d850aea84a32e79c58258ab619b7b34b86606a536273",
+        "e4a4550d7652a161afee89d5a86e087a2647b605992fba8a4d512b5492a44bb7",
     ),
     (4, 1): (
         "351f5d7fef7a98f4c5b92b4d4ddabae2ffd66a605ff8025f2bfe5d8f4af3b995",
