@@ -8,10 +8,7 @@ a CLI that emits CSV/JSON telemetry and SVG trajectory plots.
 """
 
 from .automata import (
-    FAILURE,
-    SUCCESS,
     LearningScheme,
-    PModelFeedback,
     ProbabilityVector,
     SchemeKind,
     apply_feedback,
@@ -26,9 +23,9 @@ from .kinematics import (
     ACTION_COUNT,
     Action,
     RobotParams,
-    RobotPose,
     action_to_wheels,
     integrate_action,
+    move_table,
 )
 from .runner import (
     BatchResult,
@@ -36,7 +33,6 @@ from .runner import (
     ExperimentConfig,
     RunRecord,
     SeedFailure,
-    StepRecord,
     Termination,
     WorldSpec,
     build_world,

@@ -343,32 +343,30 @@ def _write_text(path: Path, text: str) -> None:
 # round-trips to the same float. Every value they format is a Python float.
 def _trajectory_csv(record: RunRecord) -> str:
     lines = ["n,x,y,theta,action,flag,d,blocked"]
-    for s in record.steps:
-        p = s.pose_after
-        lines.append(
-            f"{s.n},{p.x!r},{p.y!r},{p.theta!r},"
-            f"{int(s.action)},{s.flag.flag},{s.d_after!r},{int(s.blocked)}"
-        )
+    rows = zip(record.x, record.y, record.theta, record.action, record.flag, record.d, record.blocked)
+    for n, (x, y, theta, action, flag, d, blocked) in enumerate(rows, start=1):
+        lines.append(f"{n},{x!r},{y!r},{theta!r},{action},{flag},{d!r},{blocked}")
     return "\n".join(lines) + "\n"
 
 
 def _probs_csv(record: RunRecord) -> str:
-    r = len(record.steps[0].probs_after) if record.steps else ACTION_COUNT
+    r = ACTION_COUNT
     lines = ["n," + ",".join(f"p{i}" for i in range(1, r + 1))]
-    for s in record.steps:
-        lines.append(f"{s.n}," + ",".join(map(repr, s.probs_after.probs)))
+    cells = list(map(repr, record.probs))
+    for n in range(1, record.total_steps + 1):
+        lines.append(f"{n}," + ",".join(cells[(n - 1) * r : n * r]))
     return "\n".join(lines) + "\n"
 
 
 def _summary_dict(record: RunRecord) -> dict:
-    final = record.final_pose
+    x, y, theta = record.final_pose
     return {
         "terminated": record.terminated.value,
         "success": record.success,
         "total_steps": record.total_steps,
         "seed": record.seed,
-        "final_pose": {"x": final.x, "y": final.y, "theta": final.theta},
-        "final_distance": distance_to_goal(final, record.world),
+        "final_pose": {"x": x, "y": y, "theta": theta},
+        "final_distance": distance_to_goal(x, y, record.world),
         "world": record.world.to_dict(),
         "config": record.config.to_dict(),
         "config_digest": record.config_digest,
@@ -425,11 +423,9 @@ def build_svg(record: RunRecord) -> str:
         f'<circle class="goal-center" cx="{_svg_coord(gx)}" cy="{_svg_coord(-gy)}" '
         f'r="0.6" fill="#2a7e2a"/>'
     )
-    if record.steps:
+    if record.total_steps:
         points = ["0,0"]
-        points += [
-            f"{_svg_coord(s.pose_after.x)},{_svg_coord(-s.pose_after.y)}" for s in record.steps
-        ]
+        points += [f"{_svg_coord(x)},{_svg_coord(-y)}" for x, y in zip(record.x, record.y)]
         parts.append(
             f'<polyline class="trajectory" points="{" ".join(points)}" '
             f'fill="none" stroke="#1f4fa0" stroke-width="0.5"/>'

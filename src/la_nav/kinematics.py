@@ -25,26 +25,6 @@ ACTION_COUNT = 6
 
 
 @dataclass(frozen=True, slots=True)
-class RobotPose:
-    """Planar pose: position in cm, heading in radians (accumulated, unwrapped)."""
-
-    x: float
-    y: float
-    theta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.theta)):
-            raise ValueError(f"pose components must be finite, got {self!r}")
-
-    def wrapped_theta(self) -> float:
-        """Heading folded into (-pi, pi]."""
-        w = self.theta % (2.0 * math.pi)
-        if w > math.pi:
-            w -= 2.0 * math.pi
-        return w
-
-
-@dataclass(frozen=True, slots=True)
 class RobotParams:
     """Physical drive parameters.
 
@@ -115,23 +95,34 @@ def action_to_wheels(action: Action | int, params: RobotParams) -> tuple[float, 
     return right * params.wheel_speed, left * params.wheel_speed
 
 
-def integrate_action(pose: RobotPose, action: Action | int, params: RobotParams) -> RobotPose:
-    """Advance the pose by one action applied for ``params.action_duration``.
+def move_table(params: RobotParams) -> tuple[tuple[float, float, float], ...]:
+    """``(travel, half_turn, turn)`` of each action, in catalogue order.
 
     Both wheel speeds are constant during an action, so the robot drives an
     exact circular arc (a straight line when the heading rate is zero). The
-    arc's chord has length ``v*T*sin(dtheta/2)/(dtheta/2)`` and points along
-    the mid-arc heading ``theta + dtheta/2``.
+    arc turns the heading by ``turn``; its chord has length ``travel`` and
+    points along the mid-arc heading ``theta + half_turn``. Raises
+    ValueError when an entry is not finite.
     """
-    omega_r, omega_l = action_to_wheels(action, params)
-    spin = (params.wheel_radius / params.axle_length) * (omega_r - omega_l)
-    travel = 0.5 * params.wheel_radius * (omega_l + omega_r) * params.action_duration
-    half_turn = 0.5 * spin * params.action_duration
-    if half_turn != 0.0:
-        travel *= math.sin(half_turn) / half_turn
-    mid = pose.theta + half_turn
-    return RobotPose(
-        pose.x - travel * math.sin(mid),
-        pose.y + travel * math.cos(mid),
-        pose.theta + spin * params.action_duration,
-    )
+    moves = []
+    for action in Action:
+        omega_r, omega_l = action_to_wheels(action, params)
+        spin = (params.wheel_radius / params.axle_length) * (omega_r - omega_l)
+        travel = 0.5 * params.wheel_radius * (omega_l + omega_r) * params.action_duration
+        half_turn = 0.5 * spin * params.action_duration
+        turn = spin * params.action_duration
+        if not (math.isfinite(travel) and math.isfinite(turn)):
+            raise ValueError(f"action {action.label} travels or turns beyond float range")
+        if half_turn != 0.0:
+            travel *= math.sin(half_turn) / half_turn
+        moves.append((travel, half_turn, turn))
+    return tuple(moves)
+
+
+def integrate_action(
+    x: float, y: float, theta: float, move: tuple[float, float, float]
+) -> tuple[float, float, float]:
+    """Pose ``(x, y, theta)`` after one ``move_table`` entry."""
+    travel, half_turn, turn = move
+    mid = theta + half_turn
+    return x - travel * math.sin(mid), y + travel * math.cos(mid), theta + turn

@@ -13,26 +13,21 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
-from .automata import (
-    LearningScheme,
-    PModelFeedback,
-    ProbabilityVector,
-    apply_feedback,
-    init_uniform,
-    select_action,
-)
+from .automata import LearningScheme, apply_feedback, init_uniform, select_action
 from .errors import ConfigError, InfeasibleWorldError, SimulationError
-from .kinematics import ACTION_COUNT, Action, RobotParams, RobotPose, integrate_action
+from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table
 from .world import (
     Bounds,
     CircleObstacle,
     Obstacle,
     World,
+    _finite,
     compute_feedback,
     distance_to_goal,
     goal_reached,
@@ -70,6 +65,10 @@ class WorldSpec:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if self.goal is not None:
             object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
+        object.__setattr__(self, "tolerance", _finite(self.tolerance, "tolerance"))
+        object.__setattr__(
+            self, "min_start_distance", _finite(self.min_start_distance, "min start distance")
+        )
         if not self.tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
         if not self.min_start_distance >= 0:
@@ -144,29 +143,27 @@ class Termination(str, Enum):
     MAX_STEPS_EXCEEDED = "max_steps_exceeded"
 
 
-@dataclass(slots=True)
-class StepRecord:
-    """Telemetry for one loop iteration (1-based step index ``n``)."""
-
-    n: int
-    pose_before: RobotPose
-    pose_after: RobotPose
-    action: Action
-    z_draw: float
-    flag: PModelFeedback
-    d_before: float
-    d_after: float
-    probs_after: ProbabilityVector
-    blocked: bool
-
-
 @dataclass(frozen=True, slots=True)
 class RunRecord:
-    """Complete, reproducible trace of one episode."""
+    """Complete, reproducible trace of one episode, one column per quantity.
 
-    steps: tuple[StepRecord, ...]
+    Row ``i`` of every column is step ``i + 1``, as written to
+    ``trajectory.csv``: the pose ``x``, ``y``, ``theta`` and goal distance
+    ``d`` after the step, the 1-based ``action``, the feedback ``flag``
+    (0 success, 1 failure) and whether the move was ``blocked``. ``probs``
+    holds the action probabilities after each update, ``ACTION_COUNT``
+    values per step.
+    """
+
+    x: array
+    y: array
+    theta: array
+    d: array
+    probs: array
+    action: array
+    flag: array
+    blocked: array
     terminated: Termination
-    total_steps: int
     seed: int
     config_digest: str
     config: ExperimentConfig
@@ -174,14 +171,19 @@ class RunRecord:
     rng_algorithm: str = RNG_ALGORITHM
 
     @property
+    def total_steps(self) -> int:
+        return len(self.action)
+
+    @property
     def success(self) -> bool:
         return self.terminated is Termination.GOAL_REACHED
 
     @property
-    def final_pose(self) -> RobotPose:
-        if self.steps:
-            return self.steps[-1].pose_after
-        return RobotPose(0.0, 0.0, 0.0)
+    def final_pose(self) -> tuple[float, float, float]:
+        """``(x, y, theta)`` after the last step; the start pose if there was none."""
+        if self.action:
+            return self.x[-1], self.y[-1], self.theta[-1]
+        return 0.0, 0.0, 0.0
 
 
 def _blocking_pair(goal: tuple[float, float]) -> tuple[CircleObstacle, CircleObstacle]:
@@ -244,57 +246,70 @@ def _check_runnable(world: World) -> None:
             raise ConfigError("world.obstacles", "start position (0, 0) lies inside an obstacle")
 
 
+def _checked_moves(params: RobotParams, max_steps: int) -> tuple[tuple[float, float, float], ...]:
+    try:
+        moves = move_table(params)
+    except ValueError as exc:
+        raise ConfigError("robot", str(exc)) from None
+    # The heading is a sum of at most max_steps turns, so this bound keeps
+    # it, and every mid-arc heading, finite for the whole episode.
+    if not math.isfinite(2.0 * (max_steps + 1) * max(abs(turn) for _, _, turn in moves)):
+        raise ConfigError("robot", f"the heading can leave float range within {max_steps} steps")
+    return moves
+
+
 def run_episode(config: ExperimentConfig) -> RunRecord:
     """Run one full episode; deterministic for a given config and seed."""
+    moves = _checked_moves(config.robot, config.max_steps)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     world = build_world(config.world, rng)
     _check_runnable(world)
 
     scheme = config.scheme
-    params = config.robot
     literal = config.feedback_literal_eq10
     probs = init_uniform(ACTION_COUNT)
-    pose = RobotPose(0.0, 0.0, 0.0)
-    d_prev = distance_to_goal(pose, world)
-    steps: list[StepRecord] = []
+    x = y = theta = 0.0
+    d_prev = distance_to_goal(x, y, world)
+    xs, ys, thetas, ds, prob_col = (array("d") for _ in range(5))
+    actions, flags, blocks = (array("b") for _ in range(3))
     terminated = Termination.MAX_STEPS_EXCEEDED
 
-    if goal_reached(pose, world):
+    if goal_reached(x, y, world):
         terminated = Termination.GOAL_REACHED
     else:
         draw = rng.random
-        for n in range(1, config.max_steps + 1):
-            z = float(draw())
-            action = Action(select_action(probs, z))
-            proposed = integrate_action(pose, action, params)
-            final, blocked = resolve_motion(pose, proposed, world)
-            d_after = distance_to_goal(final, world)
-            flag = compute_feedback(d_after, d_prev, literal=literal)
-            probs = apply_feedback(probs, int(action), flag, scheme)
-            steps.append(
-                StepRecord(
-                    n=n,
-                    pose_before=pose,
-                    pose_after=final,
-                    action=action,
-                    z_draw=z,
-                    flag=flag,
-                    d_before=d_prev,
-                    d_after=d_after,
-                    probs_after=probs,
-                    blocked=blocked,
-                )
-            )
-            pose = final
-            d_prev = d_after
-            if goal_reached(pose, world):
+        for _ in range(config.max_steps):
+            action = select_action(probs, draw())
+            px, py, ptheta = integrate_action(x, y, theta, moves[action - 1])
+            blocked = resolve_motion(x, y, px, py, world)
+            if not blocked:
+                x, y, theta = px, py, ptheta
+            d = distance_to_goal(x, y, world)
+            flag = compute_feedback(d, d_prev, literal=literal)
+            probs = apply_feedback(probs, action, flag, scheme)
+            xs.append(x)
+            ys.append(y)
+            thetas.append(theta)
+            ds.append(d)
+            prob_col.extend(probs)
+            actions.append(action)
+            flags.append(flag)
+            blocks.append(blocked)
+            d_prev = d
+            if goal_reached(x, y, world):
                 terminated = Termination.GOAL_REACHED
                 break
 
     return RunRecord(
-        steps=tuple(steps),
+        x=xs,
+        y=ys,
+        theta=thetas,
+        d=ds,
+        probs=prob_col,
+        action=actions,
+        flag=flags,
+        blocked=blocks,
         terminated=terminated,
-        total_steps=len(steps),
         seed=config.seed,
         config_digest=config_digest(config),
         config=config,

@@ -14,9 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import FAILURE, SUCCESS, PModelFeedback
 from .errors import InfeasibleWorldError
-from .kinematics import RobotPose
 
 GOAL_TOLERANCE_CM = 2.0
 DEFAULT_MIN_START_DISTANCE_CM = 20.0
@@ -216,13 +214,13 @@ def random_goal(
     )
 
 
-def distance_to_goal(pose: RobotPose, world: World) -> float:
-    """Euclidean distance in cm from the pose position to the goal."""
-    return math.hypot(pose.x - world.goal[0], pose.y - world.goal[1])
+def distance_to_goal(x: float, y: float, world: World) -> float:
+    """Euclidean distance in cm from the point ``(x, y)`` to the goal."""
+    return math.hypot(x - world.goal[0], y - world.goal[1])
 
 
-def compute_feedback(d_now: float, d_prev: float, literal: bool = False) -> PModelFeedback:
-    """Binary flag for one step: success when the goal distance shrank.
+def compute_feedback(d_now: float, d_prev: float, literal: bool = False) -> int:
+    """Binary flag for one step: 0 (success) when the goal distance shrank, else 1.
 
     ``literal`` inverts the comparison (success when the distance did not
     shrink); it exists for comparison runs and is off by default. Ties are
@@ -232,37 +230,32 @@ def compute_feedback(d_now: float, d_prev: float, literal: bool = False) -> PMod
         raise ValueError(f"distances must be non-negative, got {d_now!r}, {d_prev!r}")
     improved = d_now < d_prev
     if literal:
-        return FAILURE if improved else SUCCESS
-    return SUCCESS if improved else FAILURE
+        return 1 if improved else 0
+    return 0 if improved else 1
 
 
-def goal_reached(pose: RobotPose, world: World) -> bool:
-    """True when the pose is within the goal tolerance (boundary inclusive)."""
-    return distance_to_goal(pose, world) <= world.goal_tolerance
+def goal_reached(x: float, y: float, world: World) -> bool:
+    """True when ``(x, y)`` is within the goal tolerance (boundary inclusive)."""
+    return distance_to_goal(x, y, world) <= world.goal_tolerance
 
 
-def resolve_motion(
-    start: RobotPose, proposed: RobotPose, world: World
-) -> tuple[RobotPose, bool]:
-    """Accept or wholly reject a proposed move.
+def resolve_motion(sx: float, sy: float, px: float, py: float, world: World) -> bool:
+    """Whether the move from ``(sx, sy)`` to ``(px, py)`` is blocked.
 
-    The move is rejected, and the robot stays at ``start``, when its
-    endpoint leaves the bounds (convex, so the endpoint suffices) or its
-    straight chord enters an obstacle's open interior. The endpoint's own
-    coordinates are tested first: the chord's computed endpoint can round
-    differently, and an accepted endpoint must test outside every obstacle.
+    A blocked move is rejected wholesale and the robot stays at the start.
+    The move is blocked when its endpoint leaves the bounds (convex, so the
+    endpoint suffices) or its straight chord enters an obstacle's open
+    interior. The endpoint's own coordinates are tested first: the chord's
+    computed endpoint can round differently, and an accepted endpoint must
+    test outside every obstacle.
     """
     obstacles = world.obstacles
-    sx = start.x
-    sy = start.y
     for obs in obstacles:
         if obs.contains(sx, sy):
             raise ValueError(f"start pose ({sx}, {sy}) lies inside obstacle {obs!r}")
-    px = proposed.x
-    py = proposed.y
     if not world.bounds.contains(px, py):
-        return start, True
+        return True
     for obs in obstacles:
         if obs.contains(px, py) or obs.crosses(sx, sy, px, py):
-            return start, True
-    return proposed, False
+            return True
+    return False

@@ -17,9 +17,9 @@ from la_nav import (
     Action,
     ProbabilityVector,
     RobotParams,
-    RobotPose,
     init_uniform,
     integrate_action,
+    move_table,
     preset_config,
     run_batch,
     run_episode,
@@ -105,11 +105,11 @@ def test_criterion_1_update_rules_match_brute_force_oracle():
         beta = float(rng.uniform(0.0, 1.0))
         rate = float(rng.uniform(0.01, 0.99))
         for got, want in (
-            (update_p_favorable(p, chosen, a), oracle_favorable(p.probs, chosen, a)),
-            (update_p_unfavorable(p, chosen, b), oracle_unfavorable(p.probs, chosen, b)),
-            (update_s_model(p, chosen, beta, rate), oracle_graded(p.probs, chosen, beta, rate)),
+            (update_p_favorable(p, chosen, a), oracle_favorable(p, chosen, a)),
+            (update_p_unfavorable(p, chosen, b), oracle_unfavorable(p, chosen, b)),
+            (update_s_model(p, chosen, beta, rate), oracle_graded(p, chosen, beta, rate)),
         ):
-            for g, w in zip(got.probs, want):
+            for g, w in zip(got, want):
                 diff = abs(g - w)
                 if diff > worst:
                     worst = diff
@@ -138,10 +138,10 @@ def test_criterion_2_normalization_never_drifts():
             p = update_p_unfavorable(p, chosen, params[i])
         else:
             p = update_s_model(p, chosen, responses[i], min(max(params[i], 0.01), 0.99))
-        drift = abs(sum(p.probs) - 1.0)
+        drift = abs(sum(p) - 1.0)
         if drift > worst_drift:
             worst_drift = drift
-        lo, hi = min(p.probs), max(p.probs)
+        lo, hi = min(p), max(p)
         assert 0.0 <= lo and hi <= 1.0
     wall = time.perf_counter() - start
     assert worst_drift <= 1e-9
@@ -156,7 +156,7 @@ def test_criterion_3_selection_fidelity():
     counts = np.zeros(6)
     for _ in range(n):
         counts[select_action(p, float(rng.random())) - 1] += 1
-    chi = stats.chisquare(counts, f_exp=np.array(p.probs) * n)
+    chi = stats.chisquare(counts, f_exp=np.array(p) * n)
     assert chi.pvalue > 0.01
 
     mismatches = 0
@@ -164,7 +164,7 @@ def test_criterion_3_selection_fidelity():
         r = int(rng.integers(2, 9))
         vec = random_vector(rng, r)
         z = float(rng.random())
-        if select_action(vec, z) != oracle_scan(vec.probs, z):
+        if select_action(vec, z) != oracle_scan(vec, z):
             mismatches += 1
     assert mismatches == 0
     report(3, "selection fidelity", f"chi-square p={chi.pvalue:.3f}, 0 oracle mismatches")
@@ -173,17 +173,16 @@ def test_criterion_3_selection_fidelity():
 def test_criterion_4_kinematic_closure():
     params = RobotParams()
     circle_T = 2 * math.pi * params.axle_length / (params.wheel_radius * params.wheel_speed)
-    end = integrate_action(
-        RobotPose(0, 0, 0), Action.RIGHT_FORWARD, replace(params, action_duration=circle_T)
-    )
-    closure = math.hypot(end.x, end.y)
+    circle_move = move_table(replace(params, action_duration=circle_T))[Action.RIGHT_FORWARD - 1]
+    end_x, end_y, _ = integrate_action(0.0, 0.0, 0.0, circle_move)
+    closure = math.hypot(end_x, end_y)
     assert closure < 1e-4
 
-    straight = integrate_action(RobotPose(0, 0, 0), Action.FORWARD, params)
+    straight_x, straight_y, _ = integrate_action(0.0, 0.0, 0.0, move_table(params)[Action.FORWARD - 1])
     expected = params.wheel_radius * params.wheel_speed * params.action_duration
-    line_err = abs(straight.y - expected)
+    line_err = abs(straight_y - expected)
     assert line_err < 1e-9
-    assert abs(straight.x) < 1e-9
+    assert abs(straight_x) < 1e-9
     report(4, "kinematic closure", f"circle gap {closure:.2e} cm, line err {line_err:.2e} cm")
 
 
@@ -233,11 +232,10 @@ def test_criterion_7_obstacle_avoidance(preset1_batch):
         record = run_episode(preset_config(4, seed))
         counts.append(record.total_steps)
         successes += record.success
-        for step in record.steps:
+        for n, (x, y) in enumerate(zip(record.x, record.y), start=1):
             assert not any(
-                o.contains(step.pose_after.x, step.pose_after.y)
-                for o in record.world.obstacles
-            ), f"seed {seed} step {step.n} entered an obstacle"
+                o.contains(x, y) for o in record.world.obstacles
+            ), f"seed {seed} step {n} entered an obstacle"
     median_4 = float(np.median(counts))
     assert successes >= 70
     assert median_4 >= median_1
@@ -268,7 +266,7 @@ def test_criterion_9_graded_and_binary_paths_coincide():
         rate = float(rng.uniform(0.01, 0.99))
         graded = update_s_model(p, chosen, 0.0, rate)
         binary = update_p_favorable(p, chosen, rate)
-        worst = max(worst, max(abs(g - b) for g, b in zip(graded.probs, binary.probs)))
+        worst = max(worst, max(abs(g - b) for g, b in zip(graded, binary)))
         assert update_s_model(p, chosen, 1.0, rate) is p
     assert worst <= 1e-12
     report(9, "graded/binary coincidence", f"max diff {worst:.2e}, full-response is identity")

@@ -3,10 +3,7 @@
 import pytest
 
 from la_nav import (
-    FAILURE,
-    SUCCESS,
     LearningScheme,
-    PModelFeedback,
     ProbabilityVector,
     SchemeKind,
     apply_feedback,
@@ -22,11 +19,11 @@ UNIFORM6 = init_uniform(6)
 
 class TestProbabilityVector:
     def test_init_uniform_six(self):
-        assert UNIFORM6.probs == (1 / 6,) * 6
-        assert UNIFORM6.r == 6
+        assert UNIFORM6 == (1 / 6,) * 6
+        assert isinstance(UNIFORM6, ProbabilityVector)
 
     def test_init_uniform_two(self):
-        assert init_uniform(2).probs == (0.5, 0.5)
+        assert init_uniform(2) == (0.5, 0.5)
 
     @pytest.mark.parametrize("r", [1, 0, -3])
     def test_init_uniform_rejects_degenerate(self, r):
@@ -47,31 +44,25 @@ class TestProbabilityVector:
 
     def test_accepts_list_input(self):
         p = ProbabilityVector([0.25, 0.75])
-        assert p.probs == (0.25, 0.75)
-
-    def test_prob_of_uses_one_based_indices(self):
-        p = ProbabilityVector((0.25, 0.75))
-        assert p.prob_of(1) == 0.25
-        assert p.prob_of(2) == 0.75
-        with pytest.raises(ValueError):
-            p.prob_of(0)
+        assert p == (0.25, 0.75)
+        assert isinstance(p, tuple)
 
 
 class TestFavorableUpdate:
     def test_frozen_example(self):
         # 1/6 + 0.7 * 5/6 = 3/4; 0.3 * 1/6 = 1/20
         out = update_p_favorable(UNIFORM6, 1, 0.7)
-        assert out.probs[0] == pytest.approx(0.75, abs=1e-12)
-        for v in out.probs[1:]:
+        assert out[0] == pytest.approx(0.75, abs=1e-12)
+        for v in out[1:]:
             assert v == pytest.approx(0.05, abs=1e-12)
-        assert sum(out.probs) == pytest.approx(1.0, abs=1e-12)
+        assert sum(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_rate_is_identity(self):
         assert update_p_favorable(UNIFORM6, 3, 0.0) is UNIFORM6
 
     def test_full_rate_absorbs(self):
         out = update_p_favorable(ProbabilityVector((0.5, 0.5)), 1, 1.0)
-        assert out.probs == (1.0, 0.0)
+        assert out == (1.0, 0.0)
 
     @pytest.mark.parametrize("chosen", [0, 7, -1])
     def test_rejects_bad_index(self, chosen):
@@ -88,17 +79,17 @@ class TestUnfavorableUpdate:
     def test_frozen_example(self):
         # 0.3 * 1/6 = 1/20; 0.7/5 + 0.3/6 = 19/100; 0.05 + 5 * 0.19 = 1
         out = update_p_unfavorable(UNIFORM6, 1, 0.7)
-        assert out.probs[0] == pytest.approx(0.05, abs=1e-12)
-        for v in out.probs[1:]:
+        assert out[0] == pytest.approx(0.05, abs=1e-12)
+        for v in out[1:]:
             assert v == pytest.approx(0.19, abs=1e-12)
-        assert sum(out.probs) == pytest.approx(1.0, abs=1e-12)
+        assert sum(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_rate_is_identity(self):
         assert update_p_unfavorable(UNIFORM6, 2, 0.0) is UNIFORM6
 
     def test_full_rate_two_actions(self):
         out = update_p_unfavorable(ProbabilityVector((0.5, 0.5)), 1, 1.0)
-        assert out.probs == (0.0, 1.0)
+        assert out == (0.0, 1.0)
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
@@ -109,7 +100,7 @@ class TestSModelUpdate:
     def test_zero_response_matches_favorable(self):
         graded = update_s_model(UNIFORM6, 1, 0.0, 0.7)
         binary = update_p_favorable(UNIFORM6, 1, 0.7)
-        for g, b in zip(graded.probs, binary.probs):
+        for g, b in zip(graded, binary):
             assert g == pytest.approx(b, abs=1e-12)
 
     def test_full_response_is_identity(self):
@@ -118,10 +109,10 @@ class TestSModelUpdate:
     def test_frozen_half_response(self):
         # 1/6 + 0.35 * 5/6 = 11/24; 1/6 - 0.35/6 = 13/120
         out = update_s_model(UNIFORM6, 1, 0.5, 0.7)
-        assert out.probs[0] == pytest.approx(11 / 24, abs=1e-12)
-        for v in out.probs[1:]:
+        assert out[0] == pytest.approx(11 / 24, abs=1e-12)
+        for v in out[1:]:
             assert v == pytest.approx(13 / 120, abs=1e-12)
-        assert sum(out.probs) == pytest.approx(1.0, abs=1e-12)
+        assert sum(out) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("response", [-0.01, 1.01])
     def test_rejects_bad_response(self, response):
@@ -159,28 +150,29 @@ class TestLearningScheme:
             LearningScheme.general(a, b)
 
 
-class TestFeedbackTypes:
-    def test_flag_values(self):
-        assert SUCCESS.flag == 0
-        assert FAILURE.flag == 1
-        with pytest.raises(ValueError):
-            PModelFeedback(2)
-
-
 class TestApplyFeedback:
     def test_success_takes_favorable_path(self):
         scheme = LearningScheme.lrp(0.7)
-        out = apply_feedback(UNIFORM6, 2, SUCCESS, scheme)
+        out = apply_feedback(UNIFORM6, 2, 0, scheme)
         assert out == update_p_favorable(UNIFORM6, 2, 0.7)
 
     def test_failure_takes_unfavorable_path(self):
         scheme = LearningScheme.lrp(0.7)
-        out = apply_feedback(UNIFORM6, 2, FAILURE, scheme)
+        out = apply_feedback(UNIFORM6, 2, 1, scheme)
         assert out == update_p_unfavorable(UNIFORM6, 2, 0.7)
 
     def test_reward_inaction_ignores_failures(self):
         scheme = LearningScheme.lri(0.7)
-        assert apply_feedback(UNIFORM6, 2, FAILURE, scheme) is UNIFORM6
+        assert apply_feedback(UNIFORM6, 2, 1, scheme) is UNIFORM6
+
+    def test_rejects_flags_other_than_zero_or_one(self):
+        for flag in (2, -1):
+            with pytest.raises(ValueError):
+                apply_feedback(UNIFORM6, 2, flag, LearningScheme.lrp(0.7))
+
+    def test_updates_return_plain_tuples(self):
+        out = apply_feedback(UNIFORM6, 2, 0, LearningScheme.lrp(0.7))
+        assert type(out) is tuple and len(out) == 6
 
 
 class TestSelectAction:

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from la_nav import (
-    FAILURE,
     LearningScheme,
     apply_feedback,
     init_uniform,
@@ -32,45 +31,45 @@ def _scan_oracle(probs, z):
 
 @given(p=probability_vectors(), chosen_frac=st.floats(0, 1, exclude_max=True), a=rates, b=rates)
 def test_updates_preserve_normalization(p, chosen_frac, a, b):
-    chosen = 1 + int(chosen_frac * p.r)
+    chosen = 1 + int(chosen_frac * len(p))
     for out in (
         update_p_favorable(p, chosen, a),
         update_p_unfavorable(p, chosen, b),
         update_s_model(p, chosen, 0.3, min(max(a, 1e-6), 1 - 1e-6)),
     ):
-        assert abs(sum(out.probs) - 1.0) <= SUM_TOL
-        assert all(0.0 <= v <= 1.0 for v in out.probs)
+        assert abs(sum(out) - 1.0) <= SUM_TOL
+        assert all(0.0 <= v <= 1.0 for v in out)
 
 
 @given(p=probability_vectors(), chosen_frac=st.floats(0, 1, exclude_max=True), a=rates)
 def test_favorable_monotonicity(p, chosen_frac, a):
-    chosen = 1 + int(chosen_frac * p.r)
+    chosen = 1 + int(chosen_frac * len(p))
     out = update_p_favorable(p, chosen, a)
-    assert out.prob_of(chosen) > p.prob_of(chosen)
-    for idx in range(1, p.r + 1):
-        if idx != chosen:
-            assert out.prob_of(idx) < p.prob_of(idx)
+    assert out[chosen - 1] > p[chosen - 1]
+    for idx in range(len(p)):
+        if idx != chosen - 1:
+            assert out[idx] < p[idx]
 
 
 @given(p=probability_vectors(), chosen_frac=st.floats(0, 1, exclude_max=True), b=rates)
 def test_unfavorable_monotonicity(p, chosen_frac, b):
-    chosen = 1 + int(chosen_frac * p.r)
+    chosen = 1 + int(chosen_frac * len(p))
     out = update_p_unfavorable(p, chosen, b)
-    assert out.prob_of(chosen) < p.prob_of(chosen)
+    assert out[chosen - 1] < p[chosen - 1]
 
 
 @given(p=probability_vectors())
 def test_reward_inaction_failure_is_identity(p):
     scheme = LearningScheme.lri(0.7)
-    assert apply_feedback(p, 1, FAILURE, scheme) is p
+    assert apply_feedback(p, 1, 1, scheme) is p
 
 
 @given(p=probability_vectors(), chosen_frac=st.floats(0, 1, exclude_max=True), a=st.floats(0.01, 0.99))
 def test_graded_zero_response_matches_favorable(p, chosen_frac, a):
-    chosen = 1 + int(chosen_frac * p.r)
+    chosen = 1 + int(chosen_frac * len(p))
     graded = update_s_model(p, chosen, 0.0, a)
     binary = update_p_favorable(p, chosen, a)
-    for g, b in zip(graded.probs, binary.probs):
+    for g, b in zip(graded, binary):
         assert abs(g - b) <= 1e-12
 
 
@@ -84,13 +83,13 @@ def test_selection_matches_scan_oracle(p, z):
     # Strategy components are strictly positive, so the zero-skipping rule
     # coincides with the literal scan.
     got = select_action(p, z)
-    assert got == _scan_oracle(p.probs, z)
-    before = sum(p.probs[: got - 1])
-    in_bucket = before < z <= before + p.probs[got - 1]
-    first_bucket = got == 1 and z <= p.probs[0]
+    assert got == _scan_oracle(p, z)
+    before = sum(p[: got - 1])
+    in_bucket = before < z <= before + p[got - 1]
+    first_bucket = got == 1 and z <= p[0]
     # a draw just under 1 can exceed the rounded cumulative total; the rule
     # then lands on the last positive action
-    ran_off_end = got == p.r and sum(p.probs) < z
+    ran_off_end = got == len(p) and sum(p) < z
     assert in_bucket or first_bucket or ran_off_end
 
 
@@ -116,8 +115,8 @@ def test_chained_updates_stay_normalized(p, seed):
             current = update_s_model(
                 current, chosen, float(rng.uniform(0, 1)), float(rng.uniform(0.01, 0.99))
             )
-        assert abs(sum(current.probs) - 1.0) <= SUM_TOL
-        assert all(0.0 <= v <= 1.0 for v in current.probs)
+        assert abs(sum(current) - 1.0) <= SUM_TOL
+        assert all(0.0 <= v <= 1.0 for v in current)
 
 
 def test_selection_frequencies_track_probabilities():

@@ -188,24 +188,25 @@ class TestArtifacts:
         artifacts = emit_artifacts(short_record, tmp_path)
         with open(artifacts.trajectory_csv) as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == short_record.total_steps
-        for row, step in zip(rows, short_record.steps):
-            assert float(row["x"]) == step.pose_after.x
-            assert float(row["y"]) == step.pose_after.y
-            assert float(row["theta"]) == step.pose_after.theta
-            assert float(row["d"]) == step.d_after
-            assert int(row["action"]) == int(step.action)
-            assert int(row["flag"]) == step.flag.flag
-            assert int(row["blocked"]) == int(step.blocked)
+        rec = short_record
+        assert len(rows) == rec.total_steps
+        for i, row in enumerate(rows):
+            assert int(row["n"]) == i + 1
+            assert float(row["x"]) == rec.x[i]
+            assert float(row["y"]) == rec.y[i]
+            assert float(row["theta"]) == rec.theta[i]
+            assert float(row["d"]) == rec.d[i]
+            assert int(row["action"]) == rec.action[i]
+            assert int(row["flag"]) == rec.flag[i]
+            assert int(row["blocked"]) == rec.blocked[i]
 
     def test_round_trip_probability_history(self, short_record, tmp_path):
         artifacts = emit_artifacts(short_record, tmp_path)
         with open(artifacts.probs_csv) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == short_record.total_steps
-        for row, step in zip(rows, short_record.steps):
-            for i, value in enumerate(step.probs_after, start=1):
-                assert float(row[f"p{i}"]) == value
+        cells = [float(row[f"p{i}"]) for row in rows for i in range(1, 7)]
+        assert cells == list(short_record.probs)
 
     def test_summary_contents(self, short_record, tmp_path):
         artifacts = emit_artifacts(short_record, tmp_path)
@@ -436,6 +437,31 @@ class TestMain:
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"preset": 1, "seed": 1, "robot": {"c": 1e200, "omega": 1e200}},  # travel overflows
+            {"preset": 1, "seed": 1, "robot": {"b": 2e-308}},  # turn rate overflows
+            {"preset": 3, "seed": 1, "robot": {"b": 1e-307}},  # heading overflows within the budget
+        ],
+        ids=["travel", "turn", "heading"],
+    )
+    def test_overflowing_robot_exits_nonzero(self, tmp_path, capsys, config):
+        path = write_config(tmp_path, config)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config field 'robot':")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_fast_turning_robot_within_float_range_runs(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"preset": 1, "seed": 1, "robot": {"b": 1e-300}})
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert "goal_reached" in capsys.readouterr().out
 
     def test_goal_at_start_with_derived_discs_exits_nonzero(self, tmp_path, capsys):
         # The derived pair straddles the start-to-goal line, which has no direction here.

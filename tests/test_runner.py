@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from la_nav import (
+    ACTION_COUNT,
     Bounds,
     CircleObstacle,
     ConfigError,
@@ -35,72 +36,87 @@ def pinned_goal_config(goal=(40.0, 0.0), seed=1, **kwargs):
     return ExperimentConfig(**defaults)
 
 
+def prob_rows(record):
+    """The probability vector after each step, as tuples."""
+    r = ACTION_COUNT
+    return [tuple(record.probs[i * r : (i + 1) * r]) for i in range(record.total_steps)]
+
+
+def poses(record):
+    """The pose before and after each step, as ``((x, y, theta), (x, y, theta))``."""
+    after = list(zip(record.x, record.y, record.theta))
+    return list(zip([(0.0, 0.0, 0.0)] + after[:-1], after))
+
+
 class TestEpisode:
     def test_goal_at_start_terminates_before_any_action(self):
         record = run_episode(pinned_goal_config(goal=(0.5, 0.5)))
         assert record.terminated is Termination.GOAL_REACHED
         assert record.total_steps == 0
-        assert record.steps == ()
+        assert len(record.x) == len(record.probs) == 0
+        assert record.final_pose == (0.0, 0.0, 0.0)
 
     def test_same_seed_reproduces_record(self):
         config = preset_config(1, seed=17)
         first = run_episode(config)
         second = run_episode(config)
-        assert first.steps == second.steps
-        assert first.terminated == second.terminated
-        assert first.config_digest == second.config_digest
-        assert first.world == second.world
+        assert first == second  # every column, the world and the digest
 
     def test_goal_reached_implies_final_pose_within_tolerance(self):
         record = run_episode(preset_config(1, seed=23))
         assert record.terminated is Termination.GOAL_REACHED
-        final = record.final_pose
+        x, y, _theta = record.final_pose
         goal = record.world.goal
-        assert math.hypot(final.x - goal[0], final.y - goal[1]) <= record.world.goal_tolerance
+        assert math.hypot(x - goal[0], y - goal[1]) <= record.world.goal_tolerance
 
     def test_distance_bookkeeping_is_exact(self):
+        # Each d is the goal distance of its row's pose, and each flag
+        # compares it with the previous row's d (the start's for row 1).
         record = run_episode(preset_config(1, seed=5))
-        start_distance = math.hypot(*record.world.goal)
-        assert record.steps[0].d_before == start_distance
-        for prev, nxt in zip(record.steps, record.steps[1:]):
-            assert nxt.d_before == prev.d_after
+        gx, gy = record.world.goal
+        d_before = [math.hypot(gx, gy)] + list(record.d[:-1])
+        for x, y, d, prev, flag in zip(record.x, record.y, record.d, d_before, record.flag):
+            assert d == math.hypot(x - gx, y - gy)
+            assert flag == (0 if d < prev else 1)
 
     def test_step_indices_and_count(self):
         record = run_episode(preset_config(1, seed=5))
-        assert record.total_steps == len(record.steps)
-        assert [s.n for s in record.steps] == list(range(1, record.total_steps + 1))
+        columns = (record.x, record.y, record.theta, record.d, record.action, record.flag, record.blocked)
+        assert record.total_steps > 0
+        assert {len(c) for c in columns} == {record.total_steps}
+        assert len(record.probs) == ACTION_COUNT * record.total_steps
+        assert record.final_pose == (record.x[-1], record.y[-1], record.theta[-1])
 
     def test_probabilities_stay_valid_every_step(self):
         record = run_episode(preset_config(1, seed=8))
-        for step in record.steps:
-            assert abs(sum(step.probs_after.probs) - 1.0) <= 1e-9
+        for row in prob_rows(record):
+            assert abs(sum(row) - 1.0) <= 1e-9
 
     def test_feedback_updates_are_consistent(self):
         record = run_episode(preset_config(1, seed=9))
         probs_before = (1 / 6,) * 6
-        for step in record.steps:
-            idx = int(step.action) - 1
-            if step.flag.flag == 0 and probs_before[idx] < 1.0:
-                assert step.probs_after.probs[idx] > probs_before[idx]
-            elif step.flag.flag == 1 and probs_before[idx] > 0.0:
-                assert step.probs_after.probs[idx] < probs_before[idx]
-            probs_before = step.probs_after.probs
+        for action, flag, probs_after in zip(record.action, record.flag, prob_rows(record)):
+            idx = action - 1
+            if flag == 0 and probs_before[idx] < 1.0:
+                assert probs_after[idx] > probs_before[idx]
+            elif flag == 1 and probs_before[idx] > 0.0:
+                assert probs_after[idx] < probs_before[idx]
+            probs_before = probs_after
 
     def test_blocked_steps_keep_pose_and_fail(self):
         record = run_episode(preset_config(4, seed=1))
-        blocked = [s for s in record.steps if s.blocked]
-        assert blocked, "expected at least one blocked step for this seed"
-        for step in blocked:
-            assert step.pose_after == step.pose_before
-            assert step.d_after == step.d_before
-            assert step.flag.flag == 1
+        assert any(record.blocked), "expected at least one blocked step for this seed"
+        d_before = [math.hypot(*record.world.goal)] + list(record.d[:-1])
+        for i, (before, after) in enumerate(poses(record)):
+            if record.blocked[i]:
+                assert after == before
+                assert record.d[i] == d_before[i]
+                assert record.flag[i] == 1
 
     def test_obstacle_safety_in_blocking_preset(self):
         record = run_episode(preset_config(4, seed=2))
-        for step in record.steps:
-            assert not any(
-                o.contains(step.pose_after.x, step.pose_after.y) for o in record.world.obstacles
-            )
+        for x, y in zip(record.x, record.y):
+            assert not any(o.contains(x, y) for o in record.world.obstacles)
 
     def test_max_steps_budget(self):
         config = replace(preset_config(2, seed=1), max_steps=40)
@@ -124,9 +140,10 @@ class TestEpisode:
         literal = replace(base, feedback_literal_eq10=True)
         rec_a = run_episode(base)
         rec_b = run_episode(literal)
-        # same draws, opposite grading of the first step
-        assert rec_a.steps[0].z_draw == rec_b.steps[0].z_draw
-        assert rec_a.steps[0].flag.flag != rec_b.steps[0].flag.flag
+        # same first draw and action, opposite grading of the first step
+        assert rec_a.action[0] == rec_b.action[0]
+        assert (rec_a.x[0], rec_a.y[0]) == (rec_b.x[0], rec_b.y[0])
+        assert rec_a.flag[0] != rec_b.flag[0]
 
 
 class TestWorldBuilding:
@@ -234,7 +251,14 @@ class TestPresets:
 class TestWorldSpecValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [{"tolerance": math.nan}, {"tolerance": 0.0}, {"min_start_distance": math.nan}],
+        [
+            {"tolerance": math.nan},
+            {"tolerance": 0.0},
+            {"min_start_distance": math.nan},
+            {"tolerance": 10**400},
+            {"tolerance": math.inf},
+            {"min_start_distance": 10**400},
+        ],
     )
     def test_rejects_non_positive_or_nan(self, kwargs):
         with pytest.raises(ValueError):
@@ -327,7 +351,7 @@ class TestGoldenBehaviour:
         for seed in range(1, 6):
             record = run_episode(preset_config(preset, seed=seed))
             digest = hashlib.sha256()
-            for step in record.steps:
-                digest.update(f"{int(step.action)},{step.flag.flag},{int(step.blocked)};".encode("ascii"))
+            for action, flag, blocked in zip(record.action, record.flag, record.blocked):
+                digest.update(f"{action},{flag},{blocked};".encode("ascii"))
             observed.append((record.total_steps, digest.hexdigest()))
         assert observed == GOLDEN_EPISODES[preset]

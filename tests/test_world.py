@@ -12,7 +12,6 @@ from la_nav import (
     CircleObstacle,
     InfeasibleWorldError,
     RectObstacle,
-    RobotPose,
     World,
     compute_feedback,
     distance_to_goal,
@@ -45,19 +44,20 @@ def _oracle_any_contains(obs, xs, ys):
 
 
 def chord_sample_oracle(start, proposed, world):
-    """The numpy 32-sample chord rule that the exact chord tests replaced."""
+    """The numpy 32-sample chord rule that the exact chord tests replaced; True if blocked."""
+    (sx, sy), (px, py) = start, proposed
     for obs in world.obstacles:
-        if obs.contains(start.x, start.y):
-            raise ValueError(f"start pose ({start.x}, {start.y}) lies inside obstacle {obs!r}")
-    if not world.bounds.contains(proposed.x, proposed.y):
-        return start, True
+        if obs.contains(sx, sy):
+            raise ValueError(f"start pose ({sx}, {sy}) lies inside obstacle {obs!r}")
+    if not world.bounds.contains(px, py):
+        return True
     if world.obstacles:
-        xs = start.x + _ORACLE_FRACTIONS * (proposed.x - start.x)
-        ys = start.y + _ORACLE_FRACTIONS * (proposed.y - start.y)
+        xs = sx + _ORACLE_FRACTIONS * (px - sx)
+        ys = sy + _ORACLE_FRACTIONS * (py - sy)
         for obs in world.obstacles:
-            if obs.contains(proposed.x, proposed.y) or _oracle_any_contains(obs, xs, ys):
-                return start, True
-    return proposed, False
+            if obs.contains(px, py) or _oracle_any_contains(obs, xs, ys):
+                return True
+    return False
 
 
 def deepest_sample_depth(start, proposed, obs):
@@ -65,8 +65,9 @@ def deepest_sample_depth(start, proposed, obs):
 
     Negative when every sample is outside.
     """
-    xs = start.x + _ORACLE_FRACTIONS * (proposed.x - start.x)
-    ys = start.y + _ORACLE_FRACTIONS * (proposed.y - start.y)
+    (sx, sy), (px, py) = start, proposed
+    xs = sx + _ORACLE_FRACTIONS * (px - sx)
+    ys = sy + _ORACLE_FRACTIONS * (py - sy)
     if isinstance(obs, CircleObstacle):
         depth = obs.radius - np.hypot(xs - obs.center[0], ys - obs.center[1])
     else:
@@ -82,8 +83,8 @@ def exact_chord_entry(start, proposed, obs):
     lies inside (for a box, the least of its four face distances), negative
     for the closest approach of a chord that stays outside.
     """
-    sx, sy = Fraction(start.x), Fraction(start.y)
-    dx, dy = Fraction(proposed.x) - sx, Fraction(proposed.y) - sy
+    sx, sy = Fraction(start[0]), Fraction(start[1])
+    dx, dy = Fraction(proposed[0]) - sx, Fraction(proposed[1]) - sy
     if isinstance(obs, CircleObstacle):
         ax, ay = sx - Fraction(obs.center[0]), sy - Fraction(obs.center[1])
         length_sq = dx * dx + dy * dy
@@ -109,7 +110,7 @@ def exact_chord_entry(start, proposed, obs):
 
 
 def boundary_hugging_moves(rng, scale, count):
-    """Seeded (start, proposed, world) moves that graze disc and thin-box boundaries.
+    """Seeded ((sx, sy), (px, py), world) moves that graze disc and thin-box boundaries.
 
     Every length is multiplied by ``scale`` and the obstacles sit about
     40*scale from the origin, so coordinates are large relative to a move.
@@ -171,39 +172,37 @@ def boundary_hugging_moves(rng, scale, count):
                 dx, dy = step * math.cos(b), step * math.sin(b)
         if kind == 4:
             dx = dy = 0.0
-        start = RobotPose(sx, sy, a)
-        proposed = RobotPose(sx + dx, sy + dy, a + 0.25)
-        yield start, proposed, make_world(goal=goal, obstacles=(obs,), bounds=bounds)
+        yield (sx, sy), (sx + dx, sy + dy), make_world(goal=goal, obstacles=(obs,), bounds=bounds)
 
 
 class TestDistance:
     def test_at_goal(self):
         w = make_world(goal=(3.0, 4.0))
-        assert distance_to_goal(RobotPose(3.0, 4.0, 1.0), w) == 0.0
+        assert distance_to_goal(3.0, 4.0, w) == 0.0
 
     def test_three_four_five(self):
         w = make_world(goal=(3.0, 4.0))
-        assert distance_to_goal(RobotPose(0, 0, 0), w) == 5.0
+        assert distance_to_goal(0.0, 0.0, w) == 5.0
 
     def test_axis_aligned(self):
         w = make_world(goal=(3.0, 1.0))
-        assert distance_to_goal(RobotPose(1.0, 1.0, 0), w) == 2.0
+        assert distance_to_goal(1.0, 1.0, w) == 2.0
 
 
 class TestFeedback:
     def test_improvement_is_success(self):
-        assert compute_feedback(8.0, 10.0).flag == 0
+        assert compute_feedback(8.0, 10.0) == 0
 
     def test_tie_is_failure(self):
-        assert compute_feedback(10.0, 10.0).flag == 1
+        assert compute_feedback(10.0, 10.0) == 1
 
     def test_regression_is_failure(self):
-        assert compute_feedback(12.0, 10.0).flag == 1
+        assert compute_feedback(12.0, 10.0) == 1
 
     def test_literal_mode_inverts(self):
-        assert compute_feedback(8.0, 10.0, literal=True).flag == 1
-        assert compute_feedback(10.0, 10.0, literal=True).flag == 0
-        assert compute_feedback(12.0, 10.0, literal=True).flag == 0
+        assert compute_feedback(8.0, 10.0, literal=True) == 1
+        assert compute_feedback(10.0, 10.0, literal=True) == 0
+        assert compute_feedback(12.0, 10.0, literal=True) == 0
 
     def test_rejects_negative_distances(self):
         with pytest.raises(ValueError):
@@ -216,7 +215,7 @@ class TestGoalReached:
     @pytest.mark.parametrize("x,expected", [(1.9, True), (2.0, True), (2.1, False)])
     def test_boundary_inclusive(self, x, expected):
         w = make_world(goal=(0.0, 0.0))
-        assert goal_reached(RobotPose(x, 0.0, 0.0), w) is expected
+        assert goal_reached(x, 0.0, w) is expected
 
 
 class TestRandomGoal:
@@ -260,61 +259,44 @@ class TestRandomGoal:
 
 class TestResolveMotion:
     def test_free_move_returns_proposal(self):
-        w = make_world()
-        start = RobotPose(0, 0, 0)
-        proposed = RobotPose(5, 5, 0.3)
-        final, blocked = resolve_motion(start, proposed, w)
-        assert final is proposed
-        assert blocked is False
+        assert resolve_motion(0.0, 0.0, 5.0, 5.0, make_world()) is False
 
     def test_endpoint_inside_obstacle_blocks(self):
         w = make_world(obstacles=(CircleObstacle((10.0, 0.0), 3.0),))
-        start = RobotPose(0, 0, 0)
-        final, blocked = resolve_motion(start, RobotPose(10.0, 0.0, 0.0), w)
-        assert final is start
-        assert blocked is True
+        assert resolve_motion(0.0, 0.0, 10.0, 0.0, w) is True
 
     def test_endpoint_a_hair_inside_blocks(self):
         # The chord's own t = 1 point, computed relative to the start, rounds
         # to just outside this disc; the endpoint's coordinates test inside.
         disc = CircleObstacle((-1.5772219124408764, -3.109440904428027), 2.9619469671176235)
-        start = RobotPose(2.6660303667882004, -2.3986467664749247, 0.0)
-        proposed = RobotPose(1.1565351478764825, -1.9693960933866892, 0.0)
-        assert disc.contains(proposed.x, proposed.y)
-        final, blocked = resolve_motion(start, proposed, make_world(obstacles=(disc,)))
-        assert final is start
-        assert blocked is True
+        start = (2.6660303667882004, -2.3986467664749247)
+        proposed = (1.1565351478764825, -1.9693960933866892)
+        assert disc.contains(*proposed)
+        assert resolve_motion(*start, *proposed, make_world(obstacles=(disc,))) is True
 
     def test_crossing_thin_obstacle_blocks(self):
         # Endpoints flank the slab; only the chord between them crosses it.
         slab = RectObstacle((4.5, -0.5), (5.5, 0.5))
         w = make_world(obstacles=(slab,))
-        start = RobotPose(0.0, 0.0, 0.0)
-        proposed = RobotPose(10.0, 0.0, 0.0)
-        assert not slab.contains(start.x, start.y)
-        assert not slab.contains(proposed.x, proposed.y)
-        final, blocked = resolve_motion(start, proposed, w)
-        assert final is start
-        assert blocked is True
+        assert not slab.contains(0.0, 0.0)
+        assert not slab.contains(10.0, 0.0)
+        assert resolve_motion(0.0, 0.0, 10.0, 0.0, w) is True
 
     def test_leaving_bounds_blocks(self):
         w = make_world(bounds=Bounds(-20, -20, 20, 20), goal=(10.0, 10.0))
-        final, blocked = resolve_motion(RobotPose(19, 0, 0), RobotPose(21, 0, 0), w)
-        assert blocked is True
-        assert final.x == 19
+        assert resolve_motion(19.0, 0.0, 21.0, 0.0, w) is True
+        assert resolve_motion(19.0, 0.0, 20.0, 0.0, w) is False
 
     def test_start_inside_obstacle_is_invalid(self):
         w = make_world(obstacles=(CircleObstacle((0.0, 0.0), 5.0),), goal=(50.0, 0.0))
         with pytest.raises(ValueError):
-            resolve_motion(RobotPose(0, 0, 0), RobotPose(10, 0, 0), w)
+            resolve_motion(0.0, 0.0, 10.0, 0.0, w)
 
     def test_blocked_resolution_is_idempotent(self):
+        # A blocked robot stays at the start, so retrying the move blocks again.
         w = make_world(obstacles=(CircleObstacle((10.0, 0.0), 3.0),))
-        start = RobotPose(0, 0, 0)
-        proposed = RobotPose(10.0, 0.0, 0.0)
-        first, blocked_first = resolve_motion(start, proposed, w)
-        second, blocked_second = resolve_motion(first, proposed, w)
-        assert (first, blocked_first) == (second, blocked_second)
+        assert resolve_motion(0.0, 0.0, 10.0, 0.0, w) is True
+        assert resolve_motion(0.0, 0.0, 10.0, 0.0, w) is True
 
     def test_never_lands_inside_obstacle_or_outside_bounds(self):
         rng = np.random.Generator(np.random.PCG64(11))
@@ -323,21 +305,19 @@ class TestResolveMotion:
             RectObstacle((-30.0, -30.0), (-10.0, -12.0)),
         )
         w = make_world(goal=(50.0, 50.0), obstacles=obstacles, bounds=Bounds(-60, -60, 60, 60))
-        pose = RobotPose(0.0, 0.0, 0.0)
+        x = y = 0.0
         for _ in range(2000):
             step = rng.uniform(-6, 6, size=2)
-            proposed = RobotPose(pose.x + step[0], pose.y + step[1], 0.0)
-            pose, _ = resolve_motion(pose, proposed, w)
-            assert w.bounds.contains(pose.x, pose.y)
-            assert not any(o.contains(pose.x, pose.y) for o in obstacles)
+            px, py = x + float(step[0]), y + float(step[1])
+            if not resolve_motion(x, y, px, py, w):
+                x, y = px, py
+            assert w.bounds.contains(x, y)
+            assert not any(o.contains(x, y) for o in obstacles)
 
     def test_wall_between_samples_blocks(self):
         # 0.05 cm thick: no point k/32 of the way along this chord lies inside.
         w = make_world(obstacles=(RectObstacle((5.05, -1.0), (5.1, 1.0)),))
-        start = RobotPose(0.0, 0.0, 0.0)
-        final, blocked = resolve_motion(start, RobotPose(10.0, 0.0, 0.0), w)
-        assert final is start
-        assert blocked is True
+        assert resolve_motion(0.0, 0.0, 10.0, 0.0, w) is True
 
     @pytest.mark.parametrize(
         "obstacle,start,end",
@@ -350,10 +330,7 @@ class TestResolveMotion:
     )
     def test_touching_boundary_does_not_block(self, obstacle, start, end):
         w = make_world(obstacles=(obstacle,))
-        proposed = RobotPose(*end, 0.0)
-        final, blocked = resolve_motion(RobotPose(*start, 0.0), proposed, w)
-        assert final is proposed
-        assert blocked is False
+        assert resolve_motion(*start, *end, w) is False
 
     @pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
     def test_matches_exact_rational_oracle(self, scale):
@@ -363,12 +340,11 @@ class TestResolveMotion:
         outcomes = {"free": 0, "blocked": 0, "near_boundary": 0}
         for start, proposed, world in boundary_hugging_moves(rng, scale, 7000):
             (obs,) = world.obstacles
-            if obs.contains(start.x, start.y):
+            if obs.contains(*start):
                 continue  # rejected with a ValueError; see the sample-oracle test
             enters, depth = exact_chord_entry(start, proposed, obs)
-            final, blocked = resolve_motion(start, proposed, world)
-            assert final is (start if blocked else proposed)
-            if blocked != (enters or not world.bounds.contains(proposed.x, proposed.y)):
+            blocked = resolve_motion(*start, *proposed, world)
+            if blocked != (enters or not world.bounds.contains(*proposed)):
                 assert abs(depth) <= 1e-12 * scale, (depth, start, proposed, world)
                 outcomes["near_boundary"] += 1
             outcomes["blocked" if blocked else "free"] += 1
@@ -386,15 +362,14 @@ class TestResolveMotion:
                 expected = chord_sample_oracle(start, proposed, world)
             except ValueError as exc:
                 with pytest.raises(ValueError) as err:
-                    resolve_motion(start, proposed, world)
+                    resolve_motion(*start, *proposed, world)
                 assert str(err.value) == str(exc)
                 outcomes["start_inside"] += 1
                 continue
-            final, blocked = resolve_motion(start, proposed, world)
-            if expected[1] and not blocked:
+            blocked = resolve_motion(*start, *proposed, world)
+            if expected and not blocked:
                 depth = deepest_sample_depth(start, proposed, world.obstacles[0])
                 assert depth <= 1e-12 * scale, (depth, start, proposed, world)
-            assert final is (start if blocked else proposed)
             outcomes["blocked" if blocked else "free"] += 1
         assert min(outcomes.values()) >= 50, outcomes
 
