@@ -51,7 +51,6 @@ from .world import (
     compute_feedback,
     distance_to_goal,
     goal_reached,
-    random_goal,
     resolve_motion,
 )
 

@@ -16,11 +16,12 @@ import math
 from array import array
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
 from .automata import LearningScheme, apply_feedback, init_uniform, select_action
-from .errors import ConfigError, InfeasibleWorldError, SimulationError
+from .errors import ConfigError, InfeasibleWorldError
 from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table
 from .world import (
     Bounds,
@@ -31,7 +32,6 @@ from .world import (
     compute_feedback,
     distance_to_goal,
     goal_reached,
-    random_goal,
     resolve_motion,
 )
 
@@ -51,7 +51,10 @@ class WorldSpec:
     """World recipe: either an explicit goal or a random-goal directive.
 
     ``auto_blocking_pair`` derives the two-disc blocking layout from the
-    goal instead of using ``obstacles``.
+    goal instead of using ``obstacles``. Building a spec checks everything
+    that does not depend on the seed: the start (0, 0) must lie inside the
+    bounds and outside every obstacle, and an explicit goal must give a
+    world the robot can finish in.
     """
 
     goal: tuple[float, float] | None = None
@@ -80,6 +83,12 @@ class WorldSpec:
         if self.auto_blocking_pair and self.goal == (0.0, 0.0):
             # The pair straddles the start-to-goal line, which needs a direction.
             raise ValueError("auto_blocking_pair needs a goal away from the start (0, 0)")
+        if self.goal is not None:
+            _explicit_world(self)
+        if not self.bounds.contains(0.0, 0.0):
+            raise ConfigError("world.bounds", "bounds must contain the start position (0, 0)")
+        if any(obs.contains(0.0, 0.0) for obs in self.obstacles):
+            raise ConfigError("world.obstacles", "start position (0, 0) lies inside an obstacle")
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -95,7 +104,12 @@ class WorldSpec:
 
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
-    """Everything that determines a run: scheme, robot, world recipe, seed."""
+    """Everything that determines a run: scheme, robot, world recipe, seed.
+
+    Building a config checks the robot: a move-table entry that is not
+    finite, or turns large enough that the heading could leave float range
+    within ``max_steps``, is a ``ConfigError`` for the field ``robot``.
+    """
 
     scheme: LearningScheme
     seed: int
@@ -110,6 +124,16 @@ class ExperimentConfig:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+        try:
+            moves = move_table(self.robot)
+        except ValueError as exc:
+            raise ConfigError("robot", str(exc)) from None
+        # The heading is a sum of at most max_steps turns, so this bound keeps
+        # it, and every mid-arc heading, finite for the whole episode.
+        if not math.isfinite(2.0 * (self.max_steps + 1) * max(abs(turn) for _, _, turn in moves)):
+            raise ConfigError(
+                "robot", f"the heading can leave float range within {self.max_steps} steps"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -168,7 +192,7 @@ class RunRecord:
     config_digest: str
     config: ExperimentConfig
     world: World
-    rng_algorithm: str = RNG_ALGORITHM
+    rng_algorithm: ClassVar[str] = RNG_ALGORITHM
 
     @property
     def total_steps(self) -> int:
@@ -208,62 +232,53 @@ def _pair_fits(goal: tuple[float, float], obstacles: tuple[Obstacle, ...], toler
     return True
 
 
+def _explicit_world(spec: WorldSpec) -> World:
+    """The world of a spec with an explicit goal; raises if the robot cannot finish in it."""
+    obstacles = _blocking_pair(spec.goal) if spec.auto_blocking_pair else spec.obstacles
+    if spec.auto_blocking_pair and not _pair_fits(spec.goal, obstacles, spec.tolerance):
+        raise InfeasibleWorldError(
+            f"blocking pair derived from goal {spec.goal} traps the start or the goal"
+        )
+    try:
+        return World(spec.goal, spec.tolerance, obstacles, spec.bounds)
+    except ValueError as exc:
+        raise ConfigError("world.goal", str(exc)) from None
+
+
 def build_world(spec: WorldSpec, rng: np.random.Generator) -> World:
     """Materialize a :class:`World` from a recipe, consuming ``rng`` draws.
 
-    Random goals are rejection-sampled; with the derived blocking layout the
-    goal is resampled until the discs swallow neither the start nor the goal
-    tolerance disc.
+    A random goal is drawn uniformly over the bounds, x then y, and redrawn
+    while it lies closer than ``min_start_distance`` to the start, inside an
+    obstacle, or where the derived blocking layout would swallow the start
+    or the goal tolerance disc.
     """
     if spec.goal is not None:
-        obstacles = _blocking_pair(spec.goal) if spec.auto_blocking_pair else spec.obstacles
-        if spec.auto_blocking_pair and not _pair_fits(spec.goal, obstacles, spec.tolerance):
-            raise InfeasibleWorldError(
-                f"blocking pair derived from goal {spec.goal} traps the start or the goal"
-            )
-        try:
-            return World(spec.goal, spec.tolerance, obstacles, spec.bounds)
-        except ValueError as exc:
-            raise ConfigError("world.goal", str(exc)) from None
-    if spec.auto_blocking_pair:
-        for _ in range(_MAX_WORLD_ATTEMPTS):
-            goal = random_goal(spec.bounds, (), rng, spec.min_start_distance)
+        return _explicit_world(spec)
+    bounds = spec.bounds
+    obstacles = spec.obstacles
+    for _ in range(_MAX_WORLD_ATTEMPTS):
+        goal = rng.uniform(bounds.x_min, bounds.x_max), rng.uniform(bounds.y_min, bounds.y_max)
+        if math.hypot(*goal) < spec.min_start_distance:
+            continue
+        if spec.auto_blocking_pair:
             obstacles = _blocking_pair(goal)
-            if _pair_fits(goal, obstacles, spec.tolerance):
-                return World(goal, spec.tolerance, obstacles, spec.bounds)
-        raise InfeasibleWorldError(
-            f"no goal admitting the blocking layout after {_MAX_WORLD_ATTEMPTS} samples"
-        )
-    goal = random_goal(spec.bounds, spec.obstacles, rng, spec.min_start_distance)
-    return World(goal, spec.tolerance, spec.obstacles, spec.bounds)
-
-
-def _check_runnable(world: World) -> None:
-    if not world.bounds.contains(0.0, 0.0):
-        raise ConfigError("world.bounds", "bounds must contain the start position (0, 0)")
-    for obs in world.obstacles:
-        if obs.contains(0.0, 0.0):
-            raise ConfigError("world.obstacles", "start position (0, 0) lies inside an obstacle")
-
-
-def _checked_moves(params: RobotParams, max_steps: int) -> tuple[tuple[float, float, float], ...]:
-    try:
-        moves = move_table(params)
-    except ValueError as exc:
-        raise ConfigError("robot", str(exc)) from None
-    # The heading is a sum of at most max_steps turns, so this bound keeps
-    # it, and every mid-arc heading, finite for the whole episode.
-    if not math.isfinite(2.0 * (max_steps + 1) * max(abs(turn) for _, _, turn in moves)):
-        raise ConfigError("robot", f"the heading can leave float range within {max_steps} steps")
-    return moves
+            if not _pair_fits(goal, obstacles, spec.tolerance):
+                continue
+        elif any(obs.contains(*goal) for obs in obstacles):
+            continue
+        return World(goal, spec.tolerance, obstacles, spec.bounds)
+    raise InfeasibleWorldError(
+        f"no feasible goal after {_MAX_WORLD_ATTEMPTS} samples (bounds {bounds!r}, "
+        f"{len(spec.obstacles)} obstacles, min start distance {spec.min_start_distance})"
+    )
 
 
 def run_episode(config: ExperimentConfig) -> RunRecord:
     """Run one full episode; deterministic for a given config and seed."""
-    moves = _checked_moves(config.robot, config.max_steps)
+    moves = move_table(config.robot)
     rng = np.random.Generator(np.random.PCG64(config.seed))
     world = build_world(config.world, rng)
-    _check_runnable(world)
 
     scheme = config.scheme
     literal = config.feedback_literal_eq10
@@ -413,7 +428,7 @@ def run_batch(config_template: ExperimentConfig, seeds: list[int]) -> BatchResul
     for seed in seeds:
         try:
             records.append(run_episode(replace(config_template, seed=seed)))
-        except SimulationError as exc:
+        except InfeasibleWorldError as exc:
             failures.append(SeedFailure(seed=seed, error=str(exc)))
     return BatchResult(
         records=tuple(records),
@@ -439,23 +454,13 @@ PRESET_DESCRIPTIONS = {
 PRESET_IDS = (1, 2, 3, 4)
 
 
-def preset_config(
-    preset: int,
-    seed: int,
-    *,
-    max_steps: int = DEFAULT_MAX_STEPS,
-    feedback_literal_eq10: bool = False,
-    robot: RobotParams | None = None,
-) -> ExperimentConfig:
+def preset_config(preset: int, seed: int) -> ExperimentConfig:
     """Expand one of the four built-in experiment presets."""
     if preset not in _PRESET_SCHEMES:
         raise ConfigError("preset", f"unknown preset {preset!r}; valid presets are 1-4")
     return ExperimentConfig(
         scheme=_PRESET_SCHEMES[preset],
         seed=seed,
-        robot=robot if robot is not None else RobotParams(),
         world=WorldSpec(auto_blocking_pair=(preset == 4)),
-        max_steps=max_steps,
-        feedback_literal_eq10=feedback_literal_eq10,
         preset=preset,
     )

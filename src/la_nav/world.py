@@ -12,23 +12,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .errors import InfeasibleWorldError
-
 GOAL_TOLERANCE_CM = 2.0
 DEFAULT_MIN_START_DISTANCE_CM = 20.0
-_MAX_SAMPLE_ATTEMPTS = 10_000
+# Every coordinate, radius and distance is at most this many cm in magnitude,
+# so a squared coordinate difference or radius cannot overflow a float.
+MAX_MAGNITUDE_CM = 1e150
 
 
 def _finite(value: float, what: str) -> float:
-    """``value`` as a float; ValueError if it is not finite or beyond float range."""
+    """``value`` as a float; ValueError unless it is finite and within ``MAX_MAGNITUDE_CM``."""
     try:
         number = float(value)
     except OverflowError:
         raise ValueError(f"{what} must be finite, got an integer beyond float range") from None
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+    if not abs(number) <= MAX_MAGNITUDE_CM:
+        raise ValueError(
+            f"{what} must be finite and at most {MAX_MAGNITUDE_CM:g} cm in magnitude, got {value!r}"
+        )
     return number
 
 
@@ -48,9 +48,6 @@ class Bounds:
     def __post_init__(self) -> None:
         for name in ("x_min", "y_min", "x_max", "y_max"):
             object.__setattr__(self, name, _finite(getattr(self, name), f"bounds {name}"))
-        # A finite width and height keep goal sampling within float range.
-        if not (math.isfinite(self.x_max - self.x_min) and math.isfinite(self.y_max - self.y_min)):
-            raise ValueError(f"expected a finite number for every corner, width and height, got {self!r}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate bounds {self!r}")
 
@@ -185,33 +182,6 @@ class World:
             "bounds": self.bounds.to_dict(),
             "obstacles": [obs.to_dict() for obs in self.obstacles],
         }
-
-
-def random_goal(
-    bounds: Bounds,
-    obstacles: tuple[Obstacle, ...] | list,
-    rng: np.random.Generator,
-    min_start_distance: float = DEFAULT_MIN_START_DISTANCE_CM,
-) -> tuple[float, float]:
-    """Sample a goal uniformly over the bounds.
-
-    Candidates inside an obstacle or closer than ``min_start_distance`` to
-    the origin (the robot's start) are rejected and redrawn. Deterministic
-    for a given generator state.
-    """
-    for _ in range(_MAX_SAMPLE_ATTEMPTS):
-        x = rng.uniform(bounds.x_min, bounds.x_max)
-        y = rng.uniform(bounds.y_min, bounds.y_max)
-        if math.hypot(x, y) < min_start_distance:
-            continue
-        if any(obs.contains(x, y) for obs in obstacles):
-            continue
-        return float(x), float(y)
-    raise InfeasibleWorldError(
-        f"no feasible goal after {_MAX_SAMPLE_ATTEMPTS} samples "
-        f"(bounds {bounds!r}, {len(tuple(obstacles))} obstacles, "
-        f"min start distance {min_start_distance})"
-    )
 
 
 def distance_to_goal(x: float, y: float, world: World) -> float:

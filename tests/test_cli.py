@@ -433,7 +433,11 @@ class TestMain:
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: config field '{field}': expected a finite number")
+        # The bounds corners are finite JSON numbers, but beyond the world's magnitude cap.
+        message = "expected a finite number"
+        if field == "world.bounds":
+            message = "bounds x_min must be finite and at most 1e+150 cm"
+        assert captured.err.startswith(f"error: config field '{field}': {message}")
         assert captured.err.count("error:") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
@@ -456,6 +460,35 @@ class TestMain:
         assert len(lines) == 1 and lines[0].startswith("error: config field 'robot':")
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "config,prefix",
+        [
+            ({"preset": 1, "robot": {"b": 2e-308}}, "error: config field 'robot':"),
+            (
+                {"preset": 1, "world": {"bounds": {"min": [10, 10], "max": [50, 50]}}},
+                "error: config field 'world.bounds':",
+            ),
+            ({"preset": 4, "world": {"goal": [20, 0]}}, "error: blocking pair derived from goal"),
+            ({"preset": 1, "world": {"goal": [500, 0]}}, "error: config field 'world.goal':"),
+        ],
+        ids=["robot", "start-outside-bounds", "trapped-goal", "goal-outside-bounds"],
+    )
+    def test_batch_seed_independent_error_fails_once(self, tmp_path, capsys, config, prefix):
+        path = write_config(tmp_path, config)
+        code = main(["run", "--config", str(path), "--seed", "1", "--out", str(tmp_path / "run")])
+        assert code == 1
+        run_err = capsys.readouterr().err
+        out = tmp_path / "batch"
+        code = main(["batch", "--config", str(path), "--seeds", "1..4", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix)
+        assert captured.err == run_err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not (out / "batch_summary.json").exists()
 
     def test_fast_turning_robot_within_float_range_runs(self, tmp_path, capsys):
         path = write_config(tmp_path, {"preset": 1, "seed": 1, "robot": {"b": 1e-300}})

@@ -15,6 +15,7 @@ from la_nav import (
     ExperimentConfig,
     InfeasibleWorldError,
     LearningScheme,
+    RobotParams,
     SchemeKind,
     Termination,
     WorldSpec,
@@ -128,12 +129,14 @@ class TestEpisode:
         record = run_episode(pinned_goal_config())
         assert record.rng_algorithm == "pcg64"
 
+    def test_overflowing_robot_fails_at_construction(self):
+        with pytest.raises(ConfigError) as err:
+            pinned_goal_config(robot=RobotParams(axle_length=2e-308))
+        assert err.value.field == "robot"
+
     def test_start_inside_obstacle_fails_before_stepping(self):
-        config = pinned_goal_config(
-            world=WorldSpec(goal=(40.0, 0.0), obstacles=(CircleObstacle((0.0, 0.0), 5.0),))
-        )
         with pytest.raises(ConfigError):
-            run_episode(config)
+            WorldSpec(goal=(40.0, 0.0), obstacles=(CircleObstacle((0.0, 0.0), 5.0),))
 
     def test_literal_feedback_flag_flips_polarity(self):
         base = pinned_goal_config(max_steps=50)
@@ -154,14 +157,12 @@ class TestWorldBuilding:
         assert world.obstacles == ()
 
     def test_explicit_goal_outside_bounds_is_config_error(self):
-        rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(ConfigError):
-            build_world(WorldSpec(goal=(500.0, 0.0)), rng)
+            WorldSpec(goal=(500.0, 0.0))
 
     def test_explicit_goal_inside_obstacle_is_config_error(self):
-        spec = WorldSpec(goal=(30.0, 0.0), obstacles=(CircleObstacle((30.0, 0.0), 5.0),))
         with pytest.raises(ConfigError):
-            build_world(spec, np.random.Generator(np.random.PCG64(0)))
+            WorldSpec(goal=(30.0, 0.0), obstacles=(CircleObstacle((30.0, 0.0), 5.0),))
 
     def test_random_goal_determinism(self):
         spec = WorldSpec()
@@ -180,9 +181,8 @@ class TestWorldBuilding:
 
     def test_blocking_pair_rejects_trapped_goal(self):
         # A goal this close leaves the far disc overlapping the goal disc.
-        rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(InfeasibleWorldError):
-            build_world(WorldSpec(goal=(20.0, 0.0), auto_blocking_pair=True), rng)
+            WorldSpec(goal=(20.0, 0.0), auto_blocking_pair=True)
 
     def test_blocking_pair_never_traps_random_goals(self):
         for seed in range(40):
@@ -193,13 +193,17 @@ class TestWorldBuilding:
                 assert obs.exterior_clearance(*world.goal) > world.goal_tolerance
 
     def test_infeasible_sampling_raises(self):
-        spec = WorldSpec(
-            bounds=Bounds(-1, -1, 1, 1),
-            obstacles=(CircleObstacle((0.0, 0.0), 10.0),),
-            min_start_distance=0.0,
-        )
+        # No point of these bounds lies 5 cm from the start.
+        spec = WorldSpec(bounds=Bounds(-1, -1, 1, 1), min_start_distance=5.0)
         with pytest.raises(InfeasibleWorldError):
             build_world(spec, np.random.Generator(np.random.PCG64(1)))
+        # A disc over the start fails when the spec is built, before any draw.
+        with pytest.raises(ConfigError):
+            WorldSpec(
+                bounds=Bounds(-1, -1, 1, 1),
+                obstacles=(CircleObstacle((0.0, 0.0), 10.0),),
+                min_start_distance=0.0,
+            )
 
     def test_spec_rejects_obstacles_with_auto_pair(self):
         with pytest.raises(ValueError):
@@ -264,6 +268,11 @@ class TestWorldSpecValidation:
         with pytest.raises(ValueError):
             WorldSpec(**kwargs)
 
+    def test_start_outside_bounds_is_config_error(self):
+        with pytest.raises(ConfigError) as err:
+            WorldSpec(bounds=Bounds(10, 10, 50, 50))
+        assert err.value.field == "world.bounds"
+
 
 class TestBatch:
     def test_empty_seed_list_rejected(self):
@@ -278,17 +287,20 @@ class TestBatch:
         template = ExperimentConfig(
             scheme=LearningScheme.lrp(0.7),
             seed=0,
-            world=WorldSpec(
-                bounds=Bounds(-1, -1, 1, 1),
-                obstacles=(CircleObstacle((0.0, 0.0), 10.0),),
-                min_start_distance=0.0,
-            ),
+            world=WorldSpec(bounds=Bounds(-1, -1, 1, 1), min_start_distance=5.0),
         )
         result = run_batch(template, [1, 2])
         assert result.records == ()
         assert [f.seed for f in result.failures] == [1, 2]
         assert result.summary.config_failures == 2
         assert result.summary.runs == 0
+        # A disc over the start is not a per-seed failure: the spec cannot be built.
+        with pytest.raises(ConfigError):
+            WorldSpec(
+                bounds=Bounds(-1, -1, 1, 1),
+                obstacles=(CircleObstacle((0.0, 0.0), 10.0),),
+                min_start_distance=0.0,
+            )
 
     def test_summary_statistics(self):
         result = run_batch(preset_config(1, seed=0), list(range(1, 11)))

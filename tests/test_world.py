@@ -13,10 +13,11 @@ from la_nav import (
     InfeasibleWorldError,
     RectObstacle,
     World,
+    WorldSpec,
+    build_world,
     compute_feedback,
     distance_to_goal,
     goal_reached,
-    random_goal,
     resolve_motion,
 )
 
@@ -220,41 +221,41 @@ class TestGoalReached:
 
 class TestRandomGoal:
     def test_deterministic_for_seed(self):
-        a = random_goal(Bounds(), (), np.random.Generator(np.random.PCG64(9)))
-        b = random_goal(Bounds(), (), np.random.Generator(np.random.PCG64(9)))
-        assert a == b
+        a = build_world(WorldSpec(), np.random.Generator(np.random.PCG64(9)))
+        b = build_world(WorldSpec(), np.random.Generator(np.random.PCG64(9)))
+        assert a.goal == b.goal
 
     def test_respects_min_start_distance_and_bounds(self):
         rng = np.random.Generator(np.random.PCG64(3))
-        bounds = Bounds(-40, -40, 40, 40)
+        spec = WorldSpec(bounds=Bounds(-40, -40, 40, 40), min_start_distance=20.0)
         for _ in range(500):
-            x, y = random_goal(bounds, (), rng, min_start_distance=20.0)
+            x, y = build_world(spec, rng).goal
             assert math.hypot(x, y) >= 20.0
-            assert bounds.contains(x, y)
+            assert spec.bounds.contains(x, y)
 
     def test_avoids_obstacles(self):
         rng = np.random.Generator(np.random.PCG64(4))
         blocker = CircleObstacle((30.0, 30.0), 25.0)
+        spec = WorldSpec(bounds=Bounds(0, 0, 60, 60), obstacles=(blocker,), min_start_distance=0.0)
         for _ in range(500):
-            x, y = random_goal(Bounds(0, 0, 60, 60), (blocker,), rng, min_start_distance=0.0)
-            assert not blocker.contains(x, y)
+            assert not blocker.contains(*build_world(spec, rng).goal)
 
     def test_uniform_mean_near_bounds_center(self):
         rng = np.random.Generator(np.random.PCG64(5))
-        bounds = Bounds(10, -50, 30, 0)
-        pts = np.array(
-            [random_goal(bounds, (), rng, min_start_distance=0.0) for _ in range(10_000)]
-        )
+        spec = WorldSpec(bounds=Bounds(-10, -50, 30, 0), min_start_distance=0.0)
+        pts = np.array([build_world(spec, rng).goal for _ in range(10_000)])
         mean = pts.mean(axis=0)
         # within 5% of the half-extent of each axis
-        assert abs(mean[0] - 20.0) < 0.05 * 10.0
+        assert abs(mean[0] - 10.0) < 0.05 * 20.0
         assert abs(mean[1] + 25.0) < 0.05 * 25.0
 
     def test_covered_bounds_is_infeasible(self):
+        # The box fills the bounds; the start lies on its edge, outside its open interior.
         rng = np.random.Generator(np.random.PCG64(6))
-        blanket = CircleObstacle((0.0, 0.0), 10.0)
+        blanket = RectObstacle((0.0, -1.0), (1.0, 1.0))
+        spec = WorldSpec(bounds=Bounds(0, -1, 1, 1), obstacles=(blanket,), min_start_distance=0.0)
         with pytest.raises(InfeasibleWorldError):
-            random_goal(Bounds(-1, -1, 1, 1), (blanket,), rng, min_start_distance=0.0)
+            build_world(spec, rng)
 
 
 class TestResolveMotion:
@@ -318,6 +319,14 @@ class TestResolveMotion:
         # 0.05 cm thick: no point k/32 of the way along this chord lies inside.
         w = make_world(obstacles=(RectObstacle((5.05, -1.0), (5.1, 1.0)),))
         assert resolve_motion(0.0, 0.0, 10.0, 0.0, w) is True
+
+    def test_chord_through_huge_disc_blocks(self):
+        # At the magnitude cap the squared distances stay finite.
+        disc = CircleObstacle((0.0, 0.0), 1e149)
+        bounds = Bounds(-1e150, -1e150, 1e150, 1e150)
+        w = make_world(goal=(5e149, 5e149), obstacles=(disc,), bounds=bounds)
+        assert disc.contains(5e148, 0.0)
+        assert resolve_motion(-9e149, 0.0, 9e149, 0.0, w) is True
 
     @pytest.mark.parametrize(
         "obstacle,start,end",
@@ -399,7 +408,7 @@ class TestGeometryTypes:
         with pytest.raises(ValueError):
             Bounds(-math.inf, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            Bounds(1e308, -1e308, 1.7e308, 1e308)  # the height overflows to inf
+            Bounds(1e308, -1e308, 1.7e308, 1e308)  # beyond the magnitude cap
         for build in (
             lambda: Bounds(-10**400, -1, 1, 1),
             lambda: RectObstacle((0, 0), (10**400, 1)),
@@ -410,6 +419,14 @@ class TestGeometryTypes:
         ):
             with pytest.raises(ValueError, match="beyond float range"):
                 build()
+
+    def test_magnitude_cap(self):
+        # Squaring 1e299 overflows; the cap keeps every square finite.
+        with pytest.raises(ValueError, match="at most 1e\\+150 cm"):
+            CircleObstacle((0, 0), 1e299)
+        with pytest.raises(ValueError):
+            Bounds(-1e151, -1.0, 1.0, 1.0)
+        assert CircleObstacle((0, 0), 1e150).radius == 1e150
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):
