@@ -29,7 +29,6 @@ from .kinematics import (
 )
 from .runner import (
     BatchResult,
-    BatchSummary,
     ExperimentConfig,
     RunRecord,
     SeedFailure,

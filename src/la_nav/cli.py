@@ -26,8 +26,10 @@ from .automata import LearningScheme, SchemeKind
 from .errors import ConfigError, SimulationError
 from .kinematics import ACTION_COUNT, RobotParams
 from .runner import (
+    DEFAULT_MAX_STEPS,
     PRESET_DESCRIPTIONS,
     PRESET_IDS,
+    ROBOT_KEYS,
     ExperimentConfig,
     RunRecord,
     WorldSpec,
@@ -35,19 +37,12 @@ from .runner import (
     run_batch,
     run_episode,
 )
-from .world import (
-    DEFAULT_MIN_START_DISTANCE_CM,
-    Bounds,
-    CircleObstacle,
-    RectObstacle,
-    distance_to_goal,
-)
+from .world import Bounds, CircleObstacle, RectObstacle, distance_to_goal
 
 SEED_ENV_VAR = "LA_NAV_SEED"
 
 _TOP_KEYS = {"preset", "seed", "scheme", "robot", "world", "max_steps", "feedback_literal_eq10"}
 _SCHEME_KEYS = {"kind", "a", "b"}
-_ROBOT_KEYS = {"c", "b", "omega", "T"}
 _WORLD_KEYS = {"goal", "random_goal", "tolerance", "bounds", "obstacles"}
 _BOUNDS_KEYS = {"min", "max"}
 _CIRCLE_KEYS = {"shape", "center", "radius"}
@@ -153,15 +148,10 @@ def _build_scheme(data: dict) -> LearningScheme:
 
 
 def _build_robot(data: dict) -> RobotParams:
-    _reject_unknown(data, _ROBOT_KEYS, "robot")
-    defaults = RobotParams()
+    _reject_unknown(data, ROBOT_KEYS, "robot")
+    params = {name: _as_number(data[key], f"robot.{key}") for key, name in ROBOT_KEYS.items() if key in data}
     try:
-        return RobotParams(
-            wheel_radius=_as_number(data["c"], "robot.c") if "c" in data else defaults.wheel_radius,
-            axle_length=_as_number(data["b"], "robot.b") if "b" in data else defaults.axle_length,
-            wheel_speed=_as_number(data["omega"], "robot.omega") if "omega" in data else defaults.wheel_speed,
-            action_duration=_as_number(data["T"], "robot.T") if "T" in data else defaults.action_duration,
-        )
+        return RobotParams(**params)
     except ValueError as exc:
         raise ConfigError("robot", str(exc)) from None
 
@@ -206,41 +196,34 @@ def _build_world_spec(data: dict) -> WorldSpec:
     if "goal" in data and "random_goal" in data:
         raise ConfigError("world", "give either 'goal' or 'random_goal', not both")
 
-    goal = _as_point(data["goal"], "world.goal") if "goal" in data else None
-    min_start = DEFAULT_MIN_START_DISTANCE_CM
+    # WorldSpec gets only the keys the config gives; it owns the defaults.
+    spec: dict = {}
+    if "goal" in data:
+        spec["goal"] = _as_point(data["goal"], "world.goal")
     if "random_goal" in data:
         directive = data["random_goal"]
         if isinstance(directive, dict):
             _reject_unknown(directive, {"min_start_distance"}, "world.random_goal")
             if "min_start_distance" in directive:
-                min_start = _as_number(
+                spec["min_start_distance"] = _as_number(
                     directive["min_start_distance"], "world.random_goal.min_start_distance"
                 )
         elif directive is not True:
             raise ConfigError("world.random_goal", f"expected true or an object, got {directive!r}")
-
-    tolerance = _as_number(data["tolerance"], "world.tolerance") if "tolerance" in data else 2.0
-    bounds = _build_bounds(data["bounds"]) if "bounds" in data else Bounds()
-
-    auto = False
-    obstacles: tuple = ()
+    if "tolerance" in data:
+        spec["tolerance"] = _as_number(data["tolerance"], "world.tolerance")
+    if "bounds" in data:
+        spec["bounds"] = _build_bounds(data["bounds"])
     raw_obstacles = data.get("obstacles", [])
     if raw_obstacles == "auto":
-        auto = True
+        spec["auto_blocking_pair"] = True
     elif isinstance(raw_obstacles, list):
-        obstacles = tuple(_build_obstacle(o, i) for i, o in enumerate(raw_obstacles))
+        spec["obstacles"] = tuple(_build_obstacle(o, i) for i, o in enumerate(raw_obstacles))
     else:
         raise ConfigError("world.obstacles", f"expected a list or 'auto', got {raw_obstacles!r}")
 
     try:
-        return WorldSpec(
-            goal=goal,
-            tolerance=tolerance,
-            bounds=bounds,
-            obstacles=obstacles,
-            min_start_distance=min_start,
-            auto_blocking_pair=auto,
-        )
+        return WorldSpec(**spec)
     except ValueError as exc:
         raise ConfigError("world", str(exc)) from None
 
@@ -255,8 +238,6 @@ def _resolve_seed(data: dict, env: dict) -> int:
             raise ConfigError("seed", f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}") from None
     else:
         raise ConfigError("seed", f"required (config key, --seed flag, or {SEED_ENV_VAR})")
-    if seed < 0:
-        raise ConfigError("seed", f"must be non-negative, got {seed}")
     return seed
 
 
@@ -268,7 +249,9 @@ def parse_config(
     """Load, merge and validate a run configuration.
 
     ``overrides`` (typically CLI flags) win over file keys, which win over
-    preset defaults. Unknown keys are rejected with their field path.
+    preset defaults. A ``None`` override, and a ``null`` preset or seed,
+    count as absent, so the ``config`` echo of ``summary.json`` parses back
+    to the same config. Unknown keys are rejected with their field path.
     """
     env = os.environ if env is None else env
     if path is not None:
@@ -281,6 +264,10 @@ def parse_config(
                 ) from None
             except UnicodeDecodeError as exc:
                 raise ConfigError(str(path), f"not UTF-8 text: {exc.reason}") from None
+            except ValueError as exc:  # an integer literal beyond the int-to-str digit limit
+                raise ConfigError(str(path), f"invalid JSON: {exc}") from None
+            except RecursionError:
+                raise ConfigError(str(path), "invalid JSON: nested too deeply") from None
         if not isinstance(data, dict):
             raise ConfigError(str(path), "top level must be a JSON object")
     else:
@@ -288,19 +275,18 @@ def parse_config(
 
     if overrides:
         data = {**data, **{k: v for k, v in overrides.items() if v is not None}}
+    data = {k: v for k, v in data.items() if not (v is None and k in ("preset", "seed"))}
     _reject_unknown(data, _TOP_KEYS, "")
 
     preset = None
     if "preset" in data:
         preset = _as_int(data["preset"], "preset")
-        if preset not in PRESET_IDS:
-            raise ConfigError("preset", f"unknown preset {preset}; valid presets are 1-4")
         base = preset_config(preset, seed=0).to_dict()
         del base["seed"]
-        user_world = data.get("world", {})
+        # An explicit goal replaces the preset's random goal, not one the config gives too.
+        if isinstance(data.get("world"), dict) and "goal" in data["world"]:
+            del base["world"]["random_goal"]
         data = _deep_merge(base, data)
-        if "goal" in user_world:
-            data["world"].pop("random_goal", None)
 
     if "scheme" not in data:
         raise ConfigError("scheme", "required unless a preset is given")
@@ -309,9 +295,7 @@ def parse_config(
     robot = _build_robot(_as_section(data.get("robot", {}), "robot"))
     world = _build_world_spec(_as_section(data.get("world", {}), "world"))
     seed = _resolve_seed(data, env)
-    max_steps = _as_int(data.get("max_steps", 5000), "max_steps")
-    if max_steps < 1:
-        raise ConfigError("max_steps", f"must be >= 1, got {max_steps}")
+    max_steps = _as_int(data.get("max_steps", DEFAULT_MAX_STEPS), "max_steps")
     literal = _as_bool(data.get("feedback_literal_eq10", False), "feedback_literal_eq10")
 
     return ExperimentConfig(
@@ -457,17 +441,18 @@ def emit_artifacts(record: RunRecord, out_dir: str | Path) -> RunArtifacts:
 # ---------------------------------------------------------------------------
 # commands
 
-def _parse_seed_range(text: str) -> list[int]:
+def _parse_seed_range(text: str) -> range:
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if hi < lo:
-                raise ConfigError("seeds", f"range {text!r} is empty")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo_s, dots, hi_s = text.partition("..")
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
     except ValueError:
         raise ConfigError("seeds", f"expected A..B or a single integer, got {text!r}") from None
+    if hi < lo:
+        raise ConfigError("seeds", f"range {text!r} is empty")
+    if hi - lo >= sys.maxsize:  # len() of the range would overflow
+        raise ConfigError("seeds", f"range {text!r} holds more than {sys.maxsize} seeds")
+    return range(lo, hi + 1)
 
 
 def _cli_overrides(args: argparse.Namespace) -> dict:
@@ -511,17 +496,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     template_echo = template.to_dict()
     template_echo["seed"] = None
     batch_doc = {
-        "seeds": seeds,
+        "seeds": list(seeds),
         "config": template_echo,
         "failures": [{"seed": f.seed, "error": f.error} for f in result.failures],
-        "summary": result.summary.to_dict(),
+        "summary": result.summary,
     }
     _write_text(out / "batch_summary.json", json.dumps(batch_doc, sort_keys=True, indent=2) + "\n")
 
     s = result.summary
     print(
-        f"{s.runs} runs, {s.success_count} reached the goal "
-        f"(rate {s.success_rate:.2f}), median steps {s.steps_median}"
+        f"{s['runs']} runs, {s['success_count']} reached the goal "
+        f"(rate {s['success_rate']:.2f}), median steps {s['steps']['median']}"
     )
     for failure in result.failures:
         print(f"seed {failure.seed}: configuration failure: {failure.error}", file=sys.stderr)

@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import ClassVar
@@ -24,6 +25,8 @@ from .automata import LearningScheme, apply_feedback, init_uniform, select_actio
 from .errors import ConfigError, InfeasibleWorldError
 from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table
 from .world import (
+    DEFAULT_MIN_START_DISTANCE_CM,
+    GOAL_TOLERANCE_CM,
     Bounds,
     CircleObstacle,
     Obstacle,
@@ -37,6 +40,9 @@ from .world import (
 
 RNG_ALGORITHM = "pcg64"
 DEFAULT_MAX_STEPS = 5000
+
+# Config key of each RobotParams field, in echo order.
+ROBOT_KEYS = {"c": "wheel_radius", "b": "axle_length", "omega": "wheel_speed", "T": "action_duration"}
 
 # Derived obstacle layout for the blocked-path preset: two discs straddling
 # the straight origin-to-goal line at one third and two thirds of the way.
@@ -58,10 +64,10 @@ class WorldSpec:
     """
 
     goal: tuple[float, float] | None = None
-    tolerance: float = 2.0
+    tolerance: float = GOAL_TOLERANCE_CM
     bounds: Bounds = field(default_factory=Bounds)
     obstacles: tuple[Obstacle, ...] = ()
-    min_start_distance: float = 20.0
+    min_start_distance: float = DEFAULT_MIN_START_DISTANCE_CM
     auto_blocking_pair: bool = False
 
     def __post_init__(self) -> None:
@@ -106,9 +112,11 @@ class WorldSpec:
 class ExperimentConfig:
     """Everything that determines a run: scheme, robot, world recipe, seed.
 
-    Building a config checks the robot: a move-table entry that is not
-    finite, or turns large enough that the heading could leave float range
-    within ``max_steps``, is a ``ConfigError`` for the field ``robot``.
+    Building a config checks it: a negative ``seed`` or a ``max_steps``
+    below 1 is a ``ConfigError`` for that field, and a move-table entry
+    that is not finite, or turns large enough that the heading could leave
+    float range within ``max_steps``, is one for the field ``robot``. The
+    checked table is kept in ``moves`` for the episode to drive with.
     """
 
     scheme: LearningScheme
@@ -118,12 +126,13 @@ class ExperimentConfig:
     max_steps: int = DEFAULT_MAX_STEPS
     feedback_literal_eq10: bool = False
     preset: int | None = None
+    moves: tuple[tuple[float, float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
+            raise ConfigError("seed", f"must be non-negative, got {self.seed}")
+        if self.max_steps < 1:
+            raise ConfigError("max_steps", f"must be >= 1, got {self.max_steps}")
         try:
             moves = move_table(self.robot)
         except ValueError as exc:
@@ -134,6 +143,7 @@ class ExperimentConfig:
             raise ConfigError(
                 "robot", f"the heading can leave float range within {self.max_steps} steps"
             )
+        object.__setattr__(self, "moves", moves)
 
     def to_dict(self) -> dict:
         return {
@@ -144,12 +154,7 @@ class ExperimentConfig:
                 "a": self.scheme.reward_rate,
                 "b": self.scheme.penalty_rate,
             },
-            "robot": {
-                "c": self.robot.wheel_radius,
-                "b": self.robot.axle_length,
-                "omega": self.robot.wheel_speed,
-                "T": self.robot.action_duration,
-            },
+            "robot": {key: getattr(self.robot, name) for key, name in ROBOT_KEYS.items()},
             "world": self.world.to_dict(),
             "max_steps": self.max_steps,
             "feedback_literal_eq10": self.feedback_literal_eq10,
@@ -276,7 +281,7 @@ def build_world(spec: WorldSpec, rng: np.random.Generator) -> World:
 
 def run_episode(config: ExperimentConfig) -> RunRecord:
     """Run one full episode; deterministic for a given config and seed."""
-    moves = move_table(config.robot)
+    moves = config.moves
     rng = np.random.Generator(np.random.PCG64(config.seed))
     world = build_world(config.world, rng)
 
@@ -341,80 +346,39 @@ class SeedFailure:
 
 
 @dataclass(frozen=True, slots=True)
-class BatchSummary:
-    runs: int
-    config_failures: int
-    success_count: int
-    success_rate: float
-    steps_mean: float | None
-    steps_median: float | None
-    steps_p10: float | None
-    steps_p25: float | None
-    steps_p75: float | None
-    steps_p90: float | None
-    steps_min: int | None
-    steps_max: int | None
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "config_failures": self.config_failures,
-            "success_count": self.success_count,
-            "success_rate": self.success_rate,
-            "steps": {
-                "mean": self.steps_mean,
-                "median": self.steps_median,
-                "p10": self.steps_p10,
-                "p25": self.steps_p25,
-                "p75": self.steps_p75,
-                "p90": self.steps_p90,
-                "min": self.steps_min,
-                "max": self.steps_max,
-            },
-        }
-
-
-@dataclass(frozen=True, slots=True)
 class BatchResult:
     records: tuple[RunRecord, ...]
     failures: tuple[SeedFailure, ...]
-    summary: BatchSummary
+    summary: dict
 
 
-def summarize(records: tuple[RunRecord, ...], failures: tuple[SeedFailure, ...] = ()) -> BatchSummary:
-    """Aggregate step-count statistics over completed runs."""
+def summarize(records: tuple[RunRecord, ...], failures: tuple[SeedFailure, ...] = ()) -> dict:
+    """The ``summary`` object of ``batch_summary.json``: counts and step statistics of the runs."""
+    successes = sum(1 for rec in records if rec.success)
+    steps = dict.fromkeys(("mean", "median", "p10", "p25", "p75", "p90", "min", "max"))
     if records:
         counts = np.array([rec.total_steps for rec in records], dtype=float)
-        successes = sum(1 for rec in records if rec.success)
         p10, p25, p75, p90 = (float(v) for v in np.percentile(counts, [10, 25, 75, 90]))
-        stats = {
-            "steps_mean": float(counts.mean()),
-            "steps_median": float(np.median(counts)),
-            "steps_p10": p10,
-            "steps_p25": p25,
-            "steps_p75": p75,
-            "steps_p90": p90,
-            "steps_min": int(counts.min()),
-            "steps_max": int(counts.max()),
+        steps = {
+            "mean": float(counts.mean()),
+            "median": float(np.median(counts)),
+            "p10": p10,
+            "p25": p25,
+            "p75": p75,
+            "p90": p90,
+            "min": int(counts.min()),
+            "max": int(counts.max()),
         }
-        rate = successes / len(records)
-    else:
-        successes = 0
-        rate = 0.0
-        stats = {k: None for k in (
-            "steps_mean", "steps_median", "steps_p10", "steps_p25",
-            "steps_p75", "steps_p90", "steps_min", "steps_max",
-        )}
-    return BatchSummary(
-        runs=len(records),
-        config_failures=len(failures),
-        success_count=successes,
-        success_rate=rate,
-        **stats,
-    )
+    return {
+        "runs": len(records),
+        "config_failures": len(failures),
+        "success_count": successes,
+        "success_rate": successes / len(records) if records else 0.0,
+        "steps": steps,
+    }
 
 
-def run_batch(config_template: ExperimentConfig, seeds: list[int]) -> BatchResult:
+def run_batch(config_template: ExperimentConfig, seeds: Sequence[int]) -> BatchResult:
     """Run one episode per seed, serially, in the seed list's order.
 
     Each episode owns its generator, so a seed's run does not depend on

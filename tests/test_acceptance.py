@@ -192,7 +192,7 @@ def test_criterion_5_reward_penalty_preset_converges(preset1_batch):
     for record in result.records:
         assert math.hypot(*record.world.goal) >= 20.0
         assert record.config.max_steps == 5000
-    successes = result.summary.success_count
+    successes = result.summary["success_count"]
     assert successes >= 90
     assert wall < 60.0
     report(5, "reward-penalty convergence", f"{successes}/100 goals, wall {wall:.1f}s")

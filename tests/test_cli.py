@@ -11,7 +11,9 @@ from la_nav import (
     ExperimentConfig,
     LearningScheme,
     WorldSpec,
+    config_digest,
     preset_config,
+    run_batch,
     run_episode,
 )
 from la_nav.cli import build_svg, emit_artifacts, main, parse_config
@@ -21,6 +23,21 @@ def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return path
+
+
+FULL_WORLD_CONFIG = {
+    "seed": 3,
+    "scheme": {"kind": "lrp", "a": 0.7},
+    "robot": {"c": 3.0, "omega": 1.5},
+    "world": {
+        "random_goal": {"min_start_distance": 35.0},
+        "tolerance": 4.0,
+        "bounds": {"min": [-50, -50], "max": [50, 50]},
+        "obstacles": [{"shape": "circle", "center": [10, 10], "radius": 5}],
+    },
+    "max_steps": 123,
+    "feedback_literal_eq10": True,
+}
 
 
 class TestParseConfig:
@@ -90,14 +107,21 @@ class TestParseConfig:
             parse_config(path)
         assert err.value.field == "scheme.kind"
 
-    def test_goal_and_random_goal_conflict(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {"seed": 1, "scheme": {"kind": "lrp", "a": 0.7},
-             "world": {"goal": [30, 0], "random_goal": True}},
-        )
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize(
+        "base",
+        [{"scheme": {"kind": "lrp", "a": 0.7}}, {"preset": 1}],
+        ids=["no-preset", "preset"],
+    )
+    def test_goal_and_random_goal_conflict(self, tmp_path, base):
+        # A preset's own random goal gives way to an explicit goal, but one
+        # that the config gives next to the goal is still a conflict.
+        world = {"goal": [30, 0], "random_goal": {"min_start_distance": 5}}
+        path = write_config(tmp_path, {**base, "seed": 1, "world": world})
+        with pytest.raises(ConfigError) as err:
             parse_config(path)
+        assert str(err.value) == (
+            "config field 'world': give either 'goal' or 'random_goal', not both"
+        )
 
     def test_explicit_goal_wins_over_preset_random_goal(self, tmp_path):
         path = write_config(tmp_path, {"preset": 1, "seed": 1, "world": {"goal": [30.0, 0.0]}})
@@ -150,23 +174,7 @@ class TestParseConfig:
             parse_config(path)
 
     def test_full_world_section(self, tmp_path):
-        path = write_config(
-            tmp_path,
-            {
-                "seed": 3,
-                "scheme": {"kind": "lrp", "a": 0.7},
-                "robot": {"c": 3.0, "omega": 1.5},
-                "world": {
-                    "random_goal": {"min_start_distance": 35.0},
-                    "tolerance": 4.0,
-                    "bounds": {"min": [-50, -50], "max": [50, 50]},
-                    "obstacles": [{"shape": "circle", "center": [10, 10], "radius": 5}],
-                },
-                "max_steps": 123,
-                "feedback_literal_eq10": True,
-            },
-        )
-        config = parse_config(path)
+        config = parse_config(write_config(tmp_path, FULL_WORLD_CONFIG))
         assert config.robot.wheel_radius == 3.0
         assert config.robot.wheel_speed == 1.5
         assert config.robot.axle_length == 12.0
@@ -176,6 +184,32 @@ class TestParseConfig:
         assert len(config.world.obstacles) == 1
         assert config.max_steps == 123
         assert config.feedback_literal_eq10 is True
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"preset": 1, "seed": 4},
+            {"preset": 2, "seed": 4},
+            {"preset": 3, "seed": 4},
+            {"preset": 4, "seed": 4},
+            FULL_WORLD_CONFIG,
+            {
+                "seed": 2,
+                "scheme": {"kind": "lri", "a": 0.5},
+                "world": {
+                    "goal": [30.0, 5.0],
+                    "obstacles": [{"shape": "rect", "min": [10.0, -5.0], "max": [20.0, 5.0]}],
+                },
+            },
+        ],
+        ids=["preset1", "preset2", "preset3", "preset4", "full-world", "goal-rect"],
+    )
+    def test_config_echo_parses_back(self, tmp_path, data):
+        # The echo writes "preset": null when there is none, which means absent.
+        config = parse_config(write_config(tmp_path, data))
+        echo = parse_config(write_config(tmp_path, config.to_dict(), "echo.json"))
+        assert echo == config
+        assert config_digest(echo) == config_digest(config)
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +419,12 @@ class TestMain:
         for name in files:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
+    def test_batch_summary_is_run_batch_summary(self, tmp_path):
+        out = tmp_path / "batch"
+        assert main(["batch", "--preset", "3", "--seeds", "2..4", "--out", str(out)]) == 0
+        doc = json.loads((out / "batch_summary.json").read_text())
+        assert run_batch(preset_config(3, seed=0), range(2, 5)).summary == doc["summary"]
+
     def test_presets_verb(self, capsys):
         assert main(["presets"]) == 0
         out = capsys.readouterr().out
@@ -399,6 +439,32 @@ class TestMain:
     def test_invalid_seed_range_exits_nonzero(self, tmp_path, capsys):
         code = main(["batch", "--preset", "1", "--seeds", "5..1", "--out", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "verb,prefix",
+        [
+            (["run", "--config", "digits.json"], "error: config field '{dir}/digits.json': invalid JSON:"),
+            (["run", "--config", "deep.json"], "error: config field '{dir}/deep.json': invalid JSON:"),
+            (
+                ["batch", "--preset", "1", "--seeds", "1..1000000000000000000000000000000"],
+                "error: config field 'seeds': range '1..1000000000000000000000000000000' holds more than",
+            ),
+        ],
+        ids=["long-integer", "deep-nesting", "seed-range-overflow"],
+    )
+    def test_unreadable_input_exits_with_one_error_line(self, tmp_path, capsys, verb, prefix):
+        (tmp_path / "digits.json").write_text('{"seed": 1' + "0" * 5000 + "}")
+        (tmp_path / "deep.json").write_text("[" * 100_000)
+        out = tmp_path / "o"
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in verb]
+        code = main(argv + ["--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix.format(dir=tmp_path))
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("parallelism", ["0", "-3"])
     def test_parallelism_below_one_exits_nonzero(self, tmp_path, capsys, parallelism):

@@ -21,6 +21,7 @@ from la_nav import (
     WorldSpec,
     build_world,
     config_digest,
+    move_table,
     preset_config,
     run_batch,
     run_episode,
@@ -252,6 +253,21 @@ class TestPresets:
             preset_config(9, seed=0)
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "kwargs,field,message",
+        [
+            ({"seed": -1}, "seed", "must be non-negative, got -1"),
+            ({"max_steps": 0}, "max_steps", "must be >= 1, got 0"),
+        ],
+        ids=["seed", "max_steps"],
+    )
+    def test_rejects_negative_seed_and_empty_budget(self, kwargs, field, message):
+        with pytest.raises(ConfigError) as err:
+            replace(preset_config(1, seed=0), **kwargs)
+        assert str(err.value) == f"config field '{field}': {message}"
+
+
 class TestWorldSpecValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -292,8 +308,8 @@ class TestBatch:
         result = run_batch(template, [1, 2])
         assert result.records == ()
         assert [f.seed for f in result.failures] == [1, 2]
-        assert result.summary.config_failures == 2
-        assert result.summary.runs == 0
+        assert result.summary["config_failures"] == 2
+        assert result.summary["runs"] == 0
         # A disc over the start is not a per-seed failure: the spec cannot be built.
         with pytest.raises(ConfigError):
             WorldSpec(
@@ -306,19 +322,32 @@ class TestBatch:
         result = run_batch(preset_config(1, seed=0), list(range(1, 11)))
         counts = sorted(r.total_steps for r in result.records)
         s = result.summary
-        assert s.runs == 10
-        assert s.success_count == sum(r.success for r in result.records)
-        assert s.steps_min == counts[0]
-        assert s.steps_max == counts[-1]
-        assert s.steps_median == pytest.approx(np.median(counts))
-        assert s.steps_mean == pytest.approx(np.mean(counts))
-        assert 0.0 <= s.success_rate <= 1.0
+        assert s["runs"] == 10
+        assert s["success_count"] == sum(r.success for r in result.records)
+        assert s["steps"]["min"] == counts[0]
+        assert s["steps"]["max"] == counts[-1]
+        assert s["steps"]["median"] == pytest.approx(np.median(counts))
+        assert s["steps"]["mean"] == pytest.approx(np.mean(counts))
+        assert 0.0 <= s["success_rate"] <= 1.0
 
     def test_summary_serialization(self):
         result = run_batch(preset_config(1, seed=0), [1, 2])
-        doc = result.summary.to_dict()
+        doc = result.summary
         assert set(doc) == {"runs", "config_failures", "success_count", "success_rate", "steps"}
         assert set(doc["steps"]) == {"mean", "median", "p10", "p25", "p75", "p90", "min", "max"}
+
+    def test_move_table_built_once_per_seed(self, monkeypatch):
+        # Only the check in ExperimentConfig builds the table; the episode reuses it.
+        template = preset_config(1, seed=0)
+        calls = []
+
+        def counting_move_table(params):
+            calls.append(params)
+            return move_table(params)
+
+        monkeypatch.setattr("la_nav.runner.move_table", counting_move_table)
+        run_batch(template, [1, 2, 3])
+        assert len(calls) == 3
 
 
 # (total_steps, sha256 over the per-step "action,flag,blocked;" records) for
