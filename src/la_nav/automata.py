@@ -169,24 +169,15 @@ def update_s_model(
 ) -> tuple[float, ...]:
     """Graded update driven by a continuous response in [0, 1].
 
-    A response of 0 applies the full favorable step, a response of 1 leaves
-    the distribution untouched, and intermediate values interpolate:
-
-        p_chosen' = p_chosen + learning_rate * (1 - response) * (1 - p_chosen)
-        p_other'  = p_other - learning_rate * (1 - response) * p_other
+    It is the favorable update at rate ``learning_rate * (1 - response)``:
+    a response of 0 applies the full favorable step, a response of 1 leaves
+    the distribution untouched, and intermediate values interpolate.
     """
-    _check_action(chosen, len(p))
     if not 0.0 <= response <= 1.0:
         raise ValueError(f"response {response!r} outside [0, 1]")
     if not 0.0 < learning_rate < 1.0:
         raise ValueError(f"learning rate {learning_rate!r} outside (0, 1)")
-    gain = learning_rate * (1.0 - response)
-    if gain == 0.0:
-        return p
-    values = [v - gain * v for v in p]
-    pc = p[chosen - 1]
-    values[chosen - 1] = pc + gain * (1.0 - pc)
-    return _finish(values)
+    return update_p_favorable(p, chosen, learning_rate * (1.0 - response))
 
 
 def apply_feedback(

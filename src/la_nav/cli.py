@@ -27,8 +27,7 @@ from .errors import ConfigError, SimulationError
 from .kinematics import ACTION_COUNT, RobotParams
 from .runner import (
     DEFAULT_MAX_STEPS,
-    PRESET_DESCRIPTIONS,
-    PRESET_IDS,
+    PRESETS,
     ROBOT_KEYS,
     ExperimentConfig,
     RunRecord,
@@ -515,13 +514,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_presets(_args: argparse.Namespace) -> int:
     print("preset  kind          a    b    obstacles  description")
-    for pid in PRESET_IDS:
-        cfg = preset_config(pid, seed=0)
-        scheme = cfg.scheme
-        obstacles = "2 discs" if cfg.world.auto_blocking_pair else "none"
+    for pid, (scheme, auto_blocking_pair, description) in PRESETS.items():
+        obstacles = "2 discs" if auto_blocking_pair else "none"
         print(
             f"{pid:<7} {scheme.kind.value:<13} {scheme.reward_rate:<4} "
-            f"{scheme.penalty_rate:<4} {obstacles:<10} {PRESET_DESCRIPTIONS[pid]}"
+            f"{scheme.penalty_rate:<4} {obstacles:<10} {description}"
         )
     return 0
 
@@ -535,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", type=int, choices=PRESET_IDS, help="built-in experiment preset")
+        p.add_argument("--preset", type=int, choices=PRESETS, help="built-in experiment preset")
         p.add_argument("--out", default="out", help="output directory (default: out)")
         p.add_argument("--max-steps", type=int, dest="max_steps", help="step budget per episode")
         p.add_argument(

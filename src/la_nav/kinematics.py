@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 
-ACTION_COUNT = 6
-
 
 @dataclass(frozen=True, slots=True)
 class RobotParams:
@@ -61,27 +59,20 @@ class Action(IntEnum):
 
     @property
     def label(self) -> str:
-        return _LABELS[self]
+        return _CATALOGUE[self][0]
 
 
-_LABELS = {
-    Action.FORWARD: "Forward",
-    Action.RIGHT_FORWARD: "RightForward",
-    Action.LEFT_FORWARD: "LeftForward",
-    Action.BACKWARD: "Backward",
-    Action.RIGHT_BACKWARD: "RightBackward",
-    Action.LEFT_BACKWARD: "LeftBackward",
-}
+ACTION_COUNT = len(Action)
 
-# (right wheel sign, left wheel sign) per action: a 0 freezes that wheel,
-# driving one wheel alone turns toward the frozen side.
-_WHEEL_SIGNS = {
-    Action.FORWARD: (1.0, 1.0),
-    Action.RIGHT_FORWARD: (0.0, 1.0),
-    Action.LEFT_FORWARD: (1.0, 0.0),
-    Action.BACKWARD: (-1.0, -1.0),
-    Action.RIGHT_BACKWARD: (0.0, -1.0),
-    Action.LEFT_BACKWARD: (-1.0, 0.0),
+# (label, right wheel sign, left wheel sign) per action: a 0 freezes that
+# wheel, driving one wheel alone turns toward the frozen side.
+_CATALOGUE = {
+    Action.FORWARD: ("Forward", 1.0, 1.0),
+    Action.RIGHT_FORWARD: ("RightForward", 0.0, 1.0),
+    Action.LEFT_FORWARD: ("LeftForward", 1.0, 0.0),
+    Action.BACKWARD: ("Backward", -1.0, -1.0),
+    Action.RIGHT_BACKWARD: ("RightBackward", 0.0, -1.0),
+    Action.LEFT_BACKWARD: ("LeftBackward", -1.0, 0.0),
 }
 
 
@@ -91,7 +82,7 @@ def action_to_wheels(action: Action | int, params: RobotParams) -> tuple[float, 
         action = Action(action)
     except ValueError:
         raise ValueError(f"unknown action id {action!r}") from None
-    right, left = _WHEEL_SIGNS[action]
+    _, right, left = _CATALOGUE[action]
     return right * params.wheel_speed, left * params.wheel_speed
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
@@ -59,8 +60,9 @@ class WorldSpec:
     ``auto_blocking_pair`` derives the two-disc blocking layout from the
     goal instead of using ``obstacles``. Building a spec checks everything
     that does not depend on the seed: the start (0, 0) must lie inside the
-    bounds and outside every obstacle, and an explicit goal must give a
-    world the robot can finish in.
+    bounds and outside every obstacle, an explicit goal must give a world
+    the robot can finish in, and some point of the bounds must lie
+    ``min_start_distance`` from the start for a random goal.
     """
 
     goal: tuple[float, float] | None = None
@@ -95,6 +97,15 @@ class WorldSpec:
             raise ConfigError("world.bounds", "bounds must contain the start position (0, 0)")
         if any(obs.contains(0.0, 0.0) for obs in self.obstacles):
             raise ConfigError("world.obstacles", "start position (0, 0) lies inside an obstacle")
+        if self.goal is None:
+            b = self.bounds
+            farthest = math.hypot(max(-b.x_min, b.x_max), max(-b.y_min, b.y_max))
+            if self.min_start_distance > farthest:
+                raise ConfigError(
+                    "world.random_goal",
+                    f"min start distance {self.min_start_distance:g} cm exceeds {farthest:g} cm, "
+                    "the largest distance from the start (0, 0) to a point of the bounds",
+                )
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -112,11 +123,12 @@ class WorldSpec:
 class ExperimentConfig:
     """Everything that determines a run: scheme, robot, world recipe, seed.
 
-    Building a config checks it: a negative ``seed`` or a ``max_steps``
-    below 1 is a ``ConfigError`` for that field, and a move-table entry
-    that is not finite, or turns large enough that the heading could leave
-    float range within ``max_steps``, is one for the field ``robot``. The
-    checked table is kept in ``moves`` for the episode to drive with.
+    Building a config checks it: a negative ``seed``, or a ``max_steps``
+    below 1 or beyond float range, is a ``ConfigError`` for that field, and
+    a move-table entry that is not finite, or turns large enough that the
+    heading could leave float range within ``max_steps``, is one for the
+    field ``robot``. The checked table is kept in ``moves`` for the episode
+    to drive with.
     """
 
     scheme: LearningScheme
@@ -133,6 +145,11 @@ class ExperimentConfig:
             raise ConfigError("seed", f"must be non-negative, got {self.seed}")
         if self.max_steps < 1:
             raise ConfigError("max_steps", f"must be >= 1, got {self.max_steps}")
+        if self.max_steps > sys.float_info.max:
+            raise ConfigError(
+                "max_steps",
+                f"must be at most {sys.float_info.max:g}, got an integer beyond float range",
+            )
         try:
             moves = move_table(self.robot)
         except ValueError as exc:
@@ -226,7 +243,9 @@ def _blocking_pair(goal: tuple[float, float]) -> tuple[CircleObstacle, CircleObs
     return near, far
 
 
-def _pair_fits(goal: tuple[float, float], obstacles: tuple[Obstacle, ...], tolerance: float) -> bool:
+def _pair_fits(
+    goal: tuple[float, float], obstacles: tuple[CircleObstacle, CircleObstacle], tolerance: float
+) -> bool:
     # The start must sit outside both discs and the whole goal-tolerance
     # disc must stay reachable, otherwise the episode can never finish.
     for obs in obstacles:
@@ -401,30 +420,25 @@ def run_batch(config_template: ExperimentConfig, seeds: Sequence[int]) -> BatchR
     )
 
 
-_PRESET_SCHEMES = {
-    1: LearningScheme.lrp(0.7),
-    2: LearningScheme.lri(0.7),
-    3: LearningScheme.penalty_only(0.7),
-    4: LearningScheme.lrp(0.7),
+# Built-in experiments: id -> (scheme, derived two-disc layout, description).
+PRESETS = {
+    1: (LearningScheme.lrp(0.7), False, "reward and penalty, open workspace"),
+    2: (LearningScheme.lri(0.7), False, "reward only (failures ignored), open workspace"),
+    3: (LearningScheme.penalty_only(0.7), False, "penalty only (successes ignored), open workspace"),
+    4: (LearningScheme.lrp(0.7), True, "reward and penalty, two discs blocking the direct path"),
 }
-
-PRESET_DESCRIPTIONS = {
-    1: "reward and penalty, open workspace",
-    2: "reward only (failures ignored), open workspace",
-    3: "penalty only (successes ignored), open workspace",
-    4: "reward and penalty, two discs blocking the direct path",
-}
-
-PRESET_IDS = (1, 2, 3, 4)
 
 
 def preset_config(preset: int, seed: int) -> ExperimentConfig:
-    """Expand one of the four built-in experiment presets."""
-    if preset not in _PRESET_SCHEMES:
-        raise ConfigError("preset", f"unknown preset {preset!r}; valid presets are 1-4")
+    """Expand one of the built-in experiment presets of ``PRESETS``."""
+    if preset not in PRESETS:
+        raise ConfigError(
+            "preset", f"unknown preset {preset!r}; valid presets are {min(PRESETS)}-{max(PRESETS)}"
+        )
+    scheme, auto_blocking_pair, _ = PRESETS[preset]
     return ExperimentConfig(
-        scheme=_PRESET_SCHEMES[preset],
+        scheme=scheme,
         seed=seed,
-        world=WorldSpec(auto_blocking_pair=(preset == 4)),
+        world=WorldSpec(auto_blocking_pair=auto_blocking_pair),
         preset=preset,
     )

@@ -121,12 +121,6 @@ class RectObstacle:
             and self.min_corner[1] < y < self.max_corner[1]
         )
 
-    def exterior_clearance(self, x: float, y: float) -> float:
-        """Distance from a point to the box surface; 0 on or inside."""
-        dx = max(self.min_corner[0] - x, 0.0, x - self.max_corner[0])
-        dy = max(self.min_corner[1] - y, 0.0, y - self.max_corner[1])
-        return math.hypot(dx, dy)
-
     def crosses(self, sx: float, sy: float, px: float, py: float) -> bool:
         """True when the segment from (sx, sy) to (px, py) enters the open box.
 

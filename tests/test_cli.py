@@ -430,6 +430,13 @@ class TestMain:
         out = capsys.readouterr().out
         assert "lrp" in out and "lri" in out and "penalty_only" in out
         assert "2 discs" in out
+        assert out == (
+            "preset  kind          a    b    obstacles  description\n"
+            "1       lrp           0.7  0.7  none       reward and penalty, open workspace\n"
+            "2       lri           0.7  0.0  none       reward only (failures ignored), open workspace\n"
+            "3       penalty_only  0.0  0.7  none       penalty only (successes ignored), open workspace\n"
+            "4       lrp           0.7  0.7  2 discs    reward and penalty, two discs blocking the direct path\n"
+        )
 
     def test_missing_config_file_exits_nonzero(self, tmp_path, capsys):
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--seed", "1"])
@@ -537,8 +544,21 @@ class TestMain:
             ),
             ({"preset": 4, "world": {"goal": [20, 0]}}, "error: blocking pair derived from goal"),
             ({"preset": 1, "world": {"goal": [500, 0]}}, "error: config field 'world.goal':"),
+            ({"preset": 1, "max_steps": 10**400}, "error: config field 'max_steps':"),
+            (
+                # Every point of these bounds lies within 14.2 cm of the start, below 20 cm.
+                {"preset": 1, "world": {"bounds": {"min": [-10, -10], "max": [10, 10]}}},
+                "error: config field 'world.random_goal':",
+            ),
         ],
-        ids=["robot", "start-outside-bounds", "trapped-goal", "goal-outside-bounds"],
+        ids=[
+            "robot",
+            "start-outside-bounds",
+            "trapped-goal",
+            "goal-outside-bounds",
+            "max-steps-beyond-float-range",
+            "random-goal-beyond-bounds",
+        ],
     )
     def test_batch_seed_independent_error_fails_once(self, tmp_path, capsys, config, prefix):
         path = write_config(tmp_path, config)

@@ -15,6 +15,7 @@ from la_nav import (
     ExperimentConfig,
     InfeasibleWorldError,
     LearningScheme,
+    RectObstacle,
     RobotParams,
     SchemeKind,
     Termination,
@@ -25,6 +26,15 @@ from la_nav import (
     preset_config,
     run_batch,
     run_episode,
+)
+
+
+# The box fills the bounds and the start lies on its edge, outside its open
+# interior: the spec builds, and only goal sampling can fail.
+COVERED_BOUNDS = WorldSpec(
+    bounds=Bounds(0, -1, 1, 1),
+    obstacles=(RectObstacle((0.0, -1.0), (1.0, 1.0)),),
+    min_start_distance=0.0,
 )
 
 
@@ -194,10 +204,12 @@ class TestWorldBuilding:
                 assert obs.exterior_clearance(*world.goal) > world.goal_tolerance
 
     def test_infeasible_sampling_raises(self):
-        # No point of these bounds lies 5 cm from the start.
-        spec = WorldSpec(bounds=Bounds(-1, -1, 1, 1), min_start_distance=5.0)
         with pytest.raises(InfeasibleWorldError):
-            build_world(spec, np.random.Generator(np.random.PCG64(1)))
+            build_world(COVERED_BOUNDS, np.random.Generator(np.random.PCG64(1)))
+        # No point of these bounds lies 5 cm from the start, for any seed.
+        with pytest.raises(ConfigError) as err:
+            WorldSpec(bounds=Bounds(-1, -1, 1, 1), min_start_distance=5.0)
+        assert err.value.field == "world.random_goal"
         # A disc over the start fails when the spec is built, before any draw.
         with pytest.raises(ConfigError):
             WorldSpec(
@@ -259,8 +271,13 @@ class TestConfigValidation:
         [
             ({"seed": -1}, "seed", "must be non-negative, got -1"),
             ({"max_steps": 0}, "max_steps", "must be >= 1, got 0"),
+            (
+                {"max_steps": 10**400},
+                "max_steps",
+                "must be at most 1.79769e+308, got an integer beyond float range",
+            ),
         ],
-        ids=["seed", "max_steps"],
+        ids=["seed", "max_steps", "max_steps-beyond-float-range"],
     )
     def test_rejects_negative_seed_and_empty_budget(self, kwargs, field, message):
         with pytest.raises(ConfigError) as err:
@@ -300,16 +317,15 @@ class TestBatch:
         assert [r.seed for r in result.records] == [5, 1, 3]
 
     def test_infeasible_seed_recorded_not_raised(self):
-        template = ExperimentConfig(
-            scheme=LearningScheme.lrp(0.7),
-            seed=0,
-            world=WorldSpec(bounds=Bounds(-1, -1, 1, 1), min_start_distance=5.0),
-        )
+        template = ExperimentConfig(scheme=LearningScheme.lrp(0.7), seed=0, world=COVERED_BOUNDS)
         result = run_batch(template, [1, 2])
         assert result.records == ()
         assert [f.seed for f in result.failures] == [1, 2]
         assert result.summary["config_failures"] == 2
         assert result.summary["runs"] == 0
+        # A random goal that no point of the bounds allows is not a per-seed failure either.
+        with pytest.raises(ConfigError):
+            WorldSpec(bounds=Bounds(-1, -1, 1, 1), min_start_distance=5.0)
         # A disc over the start is not a per-seed failure: the spec cannot be built.
         with pytest.raises(ConfigError):
             WorldSpec(

@@ -441,12 +441,6 @@ class TestGeometryTypes:
         assert circle.exterior_clearance(15.0, 0.0) == pytest.approx(5.0)
         assert circle.exterior_clearance(3.0, 0.0) == 0.0
 
-    def test_rect_clearance(self):
-        rect = RectObstacle((0.0, 0.0), (10.0, 10.0))
-        assert rect.exterior_clearance(13.0, 14.0) == pytest.approx(5.0)
-        assert rect.exterior_clearance(5.0, 5.0) == 0.0
-        assert rect.exterior_clearance(-2.0, 5.0) == pytest.approx(2.0)
-
     def test_strict_interior_containment(self):
         circle = CircleObstacle((0.0, 0.0), 10.0)
         assert not circle.contains(10.0, 0.0)
