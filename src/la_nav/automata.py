@@ -63,7 +63,7 @@ class LearningScheme:
     ``reward_rate`` scales updates after successes, ``penalty_rate`` after
     failures. The family constrains the two rates: reward-penalty ties them
     together, reward-inaction zeroes the penalty, and penalty-only zeroes
-    the reward.
+    the reward. ``kind`` may be a ``SchemeKind`` or its string value.
     """
 
     kind: SchemeKind
@@ -71,11 +71,12 @@ class LearningScheme:
     penalty_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        kind = SchemeKind(self.kind)
+        object.__setattr__(self, "kind", kind)
         if not 0.0 <= self.reward_rate <= 1.0:
             raise ValueError(f"reward rate {self.reward_rate!r} outside [0, 1]")
         if not 0.0 <= self.penalty_rate <= 1.0:
             raise ValueError(f"penalty rate {self.penalty_rate!r} outside [0, 1]")
-        kind = self.kind
         if kind is SchemeKind.LRP and self.reward_rate != self.penalty_rate:
             raise ValueError("reward-penalty scheme requires equal reward and penalty rates")
         if kind is SchemeKind.LRI and self.penalty_rate != 0.0:

@@ -26,7 +26,6 @@ from .automata import LearningScheme, SchemeKind
 from .errors import ConfigError, SimulationError
 from .kinematics import ACTION_COUNT, RobotParams
 from .runner import (
-    DEFAULT_MAX_STEPS,
     PRESETS,
     ROBOT_KEYS,
     ExperimentConfig,
@@ -61,8 +60,10 @@ class RunArtifacts:
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _reject_unknown(mapping: dict, allowed: set, path: str) -> None:
-    for key in mapping:
+def _reject_unknown(value, allowed: set, path: str) -> None:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected an object, got {value!r}")
+    for key in value:
         if key not in allowed:
             where = f"{path}.{key}" if path else str(key)
             raise ConfigError(where, f"unknown key (allowed: {', '.join(sorted(allowed))})")
@@ -78,18 +79,6 @@ def _as_number(value, path: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(path, f"expected a finite number, got {value!r}")
     return number
-
-
-def _as_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(path, f"expected an integer, got {value!r}")
-    return value
-
-
-def _as_bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(path, f"expected true/false, got {value!r}")
-    return value
 
 
 def _as_point(value, path: str) -> tuple[float, float]:
@@ -227,17 +216,15 @@ def _build_world_spec(data: dict) -> WorldSpec:
         raise ConfigError("world", str(exc)) from None
 
 
-def _resolve_seed(data: dict, env: dict) -> int:
+def _resolve_seed(data: dict, env: dict):
     if "seed" in data:
-        seed = _as_int(data["seed"], "seed")
-    elif SEED_ENV_VAR in env:
+        return data["seed"]
+    if SEED_ENV_VAR in env:
         try:
-            seed = int(env[SEED_ENV_VAR])
+            return int(env[SEED_ENV_VAR])
         except ValueError:
             raise ConfigError("seed", f"{SEED_ENV_VAR} must be an integer, got {env[SEED_ENV_VAR]!r}") from None
-    else:
-        raise ConfigError("seed", f"required (config key, --seed flag, or {SEED_ENV_VAR})")
-    return seed
+    raise ConfigError("seed", f"required (config key, --seed flag, or {SEED_ENV_VAR})")
 
 
 def parse_config(
@@ -277,9 +264,8 @@ def parse_config(
     data = {k: v for k, v in data.items() if not (v is None and k in ("preset", "seed"))}
     _reject_unknown(data, _TOP_KEYS, "")
 
-    preset = None
-    if "preset" in data:
-        preset = _as_int(data["preset"], "preset")
+    preset = data.get("preset")
+    if preset is not None:
         base = preset_config(preset, seed=0).to_dict()
         del base["seed"]
         # An explicit goal replaces the preset's random goal, not one the config gives too.
@@ -290,28 +276,15 @@ def parse_config(
     if "scheme" not in data:
         raise ConfigError("scheme", "required unless a preset is given")
 
-    scheme = _build_scheme(_as_section(data["scheme"], "scheme"))
-    robot = _build_robot(_as_section(data.get("robot", {}), "robot"))
-    world = _build_world_spec(_as_section(data.get("world", {}), "world"))
+    scheme = _build_scheme(data["scheme"])
+    robot = _build_robot(data.get("robot", {}))
+    world = _build_world_spec(data.get("world", {}))
     seed = _resolve_seed(data, env)
-    max_steps = _as_int(data.get("max_steps", DEFAULT_MAX_STEPS), "max_steps")
-    literal = _as_bool(data.get("feedback_literal_eq10", False), "feedback_literal_eq10")
-
+    # ExperimentConfig owns the defaults and type rules of the scalar keys.
+    scalars = {key: data[key] for key in ("max_steps", "feedback_literal_eq10") if key in data}
     return ExperimentConfig(
-        scheme=scheme,
-        seed=seed,
-        robot=robot,
-        world=world,
-        max_steps=max_steps,
-        feedback_literal_eq10=literal,
-        preset=preset,
+        scheme=scheme, seed=seed, robot=robot, world=world, preset=preset, **scalars
     )
-
-
-def _as_section(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(path, f"expected an object, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ class RobotParams:
 
     ``wheel_radius`` and ``axle_length`` are in cm, ``wheel_speed`` in
     rad/s (magnitude used by every driven wheel), ``action_duration`` in
-    seconds.
+    seconds. All four are finite.
     """
 
     wheel_radius: float = 2.8
@@ -45,6 +45,10 @@ class RobotParams:
             raise ValueError(f"wheel speed must be non-negative, got {self.wheel_speed!r}")
         if not self.action_duration > 0:
             raise ValueError(f"action duration must be positive, got {self.action_duration!r}")
+        # NaN failed above, so +inf is the one non-finite value left.
+        for name in ("wheel_radius", "axle_length", "wheel_speed", "action_duration"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name.replace('_', ' ')} must be finite, got inf")
 
 
 class Action(IntEnum):

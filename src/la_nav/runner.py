@@ -33,6 +33,7 @@ from .world import (
     Obstacle,
     World,
     _finite,
+    _point,
     compute_feedback,
     distance_to_goal,
     goal_reached,
@@ -75,7 +76,10 @@ class WorldSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
         if self.goal is not None:
-            object.__setattr__(self, "goal", (float(self.goal[0]), float(self.goal[1])))
+            try:
+                object.__setattr__(self, "goal", _point(self.goal, "goal"))
+            except ValueError as exc:
+                raise ConfigError("world.goal", str(exc)) from None
         object.__setattr__(self, "tolerance", _finite(self.tolerance, "tolerance"))
         object.__setattr__(
             self, "min_start_distance", _finite(self.min_start_distance, "min start distance")
@@ -119,16 +123,22 @@ class WorldSpec:
         return out
 
 
+def _check_int(value, field: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(field, f"expected an integer, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Everything that determines a run: scheme, robot, world recipe, seed.
 
-    Building a config checks it: a negative ``seed``, or a ``max_steps``
-    below 1 or beyond float range, is a ``ConfigError`` for that field, and
-    a move-table entry that is not finite, or turns large enough that the
-    heading could leave float range within ``max_steps``, is one for the
-    field ``robot``. The checked table is kept in ``moves`` for the episode
-    to drive with.
+    Building a config checks it: a ``seed``, ``max_steps``, ``preset`` or
+    ``feedback_literal_eq10`` of the wrong type, a negative ``seed``, or a
+    ``max_steps`` below 1 or beyond float range, is a ``ConfigError`` for
+    that field, and a move-table entry that is not finite, or turns large
+    enough that the heading could leave float range within ``max_steps``,
+    is one for the field ``robot``. The checked table is kept in ``moves``
+    for the episode to drive with.
     """
 
     scheme: LearningScheme
@@ -141,6 +151,13 @@ class ExperimentConfig:
     moves: tuple[tuple[float, float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_int(self.seed, "seed")
+        _check_int(self.max_steps, "max_steps")
+        literal = self.feedback_literal_eq10
+        if not isinstance(literal, bool):
+            raise ConfigError("feedback_literal_eq10", f"expected true/false, got {literal!r}")
+        if self.preset is not None:
+            _check_int(self.preset, "preset")
         if self.seed < 0:
             raise ConfigError("seed", f"must be non-negative, got {self.seed}")
         if self.max_steps < 1:
@@ -155,8 +172,9 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError("robot", str(exc)) from None
         # The heading is a sum of at most max_steps turns, so this bound keeps
-        # it, and every mid-arc heading, finite for the whole episode.
-        if not math.isfinite(2.0 * (self.max_steps + 1) * max(abs(turn) for _, _, turn in moves)):
+        # it, and every mid-arc heading, finite for the whole episode. The turn
+        # goes first, so a robot that never turns gives 0.0, not 0.0 * inf.
+        if not math.isfinite(2.0 * max(abs(turn) for _, _, turn in moves) * (self.max_steps + 1)):
             raise ConfigError(
                 "robot", f"the heading can leave float range within {self.max_steps} steps"
             )
@@ -431,7 +449,7 @@ PRESETS = {
 
 def preset_config(preset: int, seed: int) -> ExperimentConfig:
     """Expand one of the built-in experiment presets of ``PRESETS``."""
-    if preset not in PRESETS:
+    if type(preset) is not int or preset not in PRESETS:
         raise ConfigError(
             "preset", f"unknown preset {preset!r}; valid presets are {min(PRESETS)}-{max(PRESETS)}"
         )

@@ -131,6 +131,7 @@ class TestLearningScheme:
         assert LearningScheme.lri(0.7).penalty_rate == 0.0
         assert LearningScheme.penalty_only(0.7).reward_rate == 0.0
         assert LearningScheme.general(0.3, 0.6).kind is SchemeKind.GENERAL_P
+        assert LearningScheme("lri", 0.7, 0.0).kind is SchemeKind.LRI
 
     def test_lrp_requires_equal_rates(self):
         with pytest.raises(ValueError):
@@ -139,6 +140,13 @@ class TestLearningScheme:
     def test_lri_requires_zero_penalty(self):
         with pytest.raises(ValueError):
             LearningScheme(SchemeKind.LRI, 0.7, 0.1)
+        # A kind given by its string value gets the same rate rules.
+        with pytest.raises(ValueError):
+            LearningScheme("lri", 0.7, 0.7)
+
+    def test_unknown_kind_string_rejected(self):
+        with pytest.raises(ValueError):
+            LearningScheme("s_model", 0.5, 0.5)
 
     def test_penalty_only_requires_zero_reward(self):
         with pytest.raises(ValueError):

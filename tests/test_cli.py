@@ -550,6 +550,14 @@ class TestMain:
                 {"preset": 1, "world": {"bounds": {"min": [-10, -10], "max": [10, 10]}}},
                 "error: config field 'world.random_goal':",
             ),
+            # A bounds value that is not an object is named as one, not iterated.
+            *(
+                (
+                    {"preset": 1, "world": {"bounds": bounds}},
+                    "error: config field 'world.bounds': expected an object",
+                )
+                for bounds in (5, None, "ab", [1, 2])
+            ),
         ],
         ids=[
             "robot",
@@ -558,6 +566,10 @@ class TestMain:
             "goal-outside-bounds",
             "max-steps-beyond-float-range",
             "random-goal-beyond-bounds",
+            "bounds-number",
+            "bounds-null",
+            "bounds-string",
+            "bounds-list",
         ],
     )
     def test_batch_seed_independent_error_fails_once(self, tmp_path, capsys, config, prefix):

@@ -227,6 +227,10 @@ class TestPoseAndParams:
             {"axle_length": math.nan},
             {"wheel_speed": math.nan},
             {"action_duration": math.nan},
+            {"wheel_radius": math.inf},
+            {"axle_length": math.inf},
+            {"wheel_speed": math.inf},
+            {"action_duration": math.inf},
         ],
     )
     def test_params_validation(self, kwargs):

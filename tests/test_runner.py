@@ -171,6 +171,19 @@ class TestWorldBuilding:
         with pytest.raises(ConfigError):
             WorldSpec(goal=(500.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "goal,message",
+        [
+            ((1e200, 0.0), "goal must be finite and at most 1e+150 cm in magnitude, got 1e+200"),
+            ((10**400, 0.0), "goal must be finite, got an integer beyond float range"),
+        ],
+        ids=["beyond-magnitude-cap", "integer-beyond-float-range"],
+    )
+    def test_explicit_goal_beyond_range_is_config_error(self, goal, message):
+        with pytest.raises(ConfigError) as err:
+            WorldSpec(goal=goal)
+        assert str(err.value) == f"config field 'world.goal': {message}"
+
     def test_explicit_goal_inside_obstacle_is_config_error(self):
         with pytest.raises(ConfigError):
             WorldSpec(goal=(30.0, 0.0), obstacles=(CircleObstacle((30.0, 0.0), 5.0),))
@@ -263,6 +276,13 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_config(9, seed=0)
+        # True == 1 and [1] is unhashable: ids that are not ints are unknown too.
+        for preset in (True, [1]):
+            with pytest.raises(ConfigError) as err:
+                preset_config(preset, seed=0)
+            assert str(err.value) == (
+                f"config field 'preset': unknown preset {preset!r}; valid presets are 1-4"
+            )
 
 
 class TestConfigValidation:
@@ -276,13 +296,42 @@ class TestConfigValidation:
                 "max_steps",
                 "must be at most 1.79769e+308, got an integer beyond float range",
             ),
+            ({"seed": True}, "seed", "expected an integer, got True"),
+            ({"seed": 1.5}, "seed", "expected an integer, got 1.5"),
+            ({"max_steps": 2.5}, "max_steps", "expected an integer, got 2.5"),
+            ({"max_steps": True}, "max_steps", "expected an integer, got True"),
+            ({"feedback_literal_eq10": 1}, "feedback_literal_eq10", "expected true/false, got 1"),
+            ({"preset": True}, "preset", "expected an integer, got True"),
         ],
-        ids=["seed", "max_steps", "max_steps-beyond-float-range"],
+        ids=[
+            "seed",
+            "max_steps",
+            "max_steps-beyond-float-range",
+            "seed-bool",
+            "seed-float",
+            "max_steps-float",
+            "max_steps-bool",
+            "literal-int",
+            "preset-bool",
+        ],
     )
     def test_rejects_negative_seed_and_empty_budget(self, kwargs, field, message):
         with pytest.raises(ConfigError) as err:
             replace(preset_config(1, seed=0), **kwargs)
         assert str(err.value) == f"config field '{field}': {message}"
+
+    @pytest.mark.parametrize(
+        "robot",
+        [RobotParams(wheel_speed=0.0), RobotParams(axle_length=1e300)],
+        ids=["never-turns", "turns-slowly"],
+    )
+    def test_huge_budget_builds_when_heading_stays_finite(self, robot):
+        # Built, not run: each would drive about 1e308 steps. The heading
+        # stays 0 for a still robot and below about 6e8 rad for the other.
+        config = ExperimentConfig(
+            scheme=LearningScheme.lrp(0.7), seed=1, robot=robot, max_steps=10**308
+        )
+        assert config.max_steps == 10**308
 
 
 class TestWorldSpecValidation:
