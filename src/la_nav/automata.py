@@ -19,12 +19,6 @@ from enum import Enum
 SUM_TOLERANCE = 1e-9
 
 
-def _clip01(values: list[float]) -> list[float]:
-    # Rounding may push a component past a boundary by an ulp; the linear
-    # updates keep every exact component within [0, 1].
-    return [0.0 if v < 0.0 else (1.0 if v > 1.0 else v) for v in values]
-
-
 class ProbabilityVector(tuple):
     """Distribution over ``r >= 2`` actions: components in [0, 1] summing to 1.
 
@@ -107,7 +101,26 @@ def _check_action(chosen: int, r: int) -> None:
 
 
 def _finish(values: list[float]) -> tuple[float, ...]:
-    values = _clip01(values)
+    """Rescale an updated vector whose sum drifted from 1 by rounding.
+
+    No clip is needed: under round-to-nearest both linear rules keep every
+    component in [0, 1] when the input's components and the rate lie in
+    [0, 1]. Rounding is monotone and 0 and 1 are floats, so every product
+    of two numbers in [0, 1] rounds into [0, 1], to at most either factor,
+    and every sum of such terms is >= 0. Two sums can exceed 1 before
+    rounding; with u = 2**-53, each stays at most 1 + u/2, which rounds
+    to 1. For x in [0, 1], ``1 - x`` is exact when x >= 1/2 (Sterbenz)
+    and otherwise lies in (1/2, 1], where floats are u apart, so
+    ``fl(1 - x) <= 1 - x + u/2``. Hence:
+
+    * favorable, ``pc + rate * fl(1 - pc) <= pc + fl(1 - pc) <= 1 + u/2``;
+    * unfavorable, ``share + keep * v`` with ``share = fl(b / (r - 1))``
+      at most ``fl(b) = b`` and ``keep = fl(1 - b)``, so at most
+      ``b + fl(1 - b) <= 1 + u/2``.
+
+    The rescale keeps [0, 1] too: it divides non-negative terms by their
+    sum, which is at least the largest of them.
+    """
     total = sum(values)
     if abs(total - 1.0) > SUM_TOLERANCE:
         # The linear updates preserve the sum algebraically, so any drift

@@ -297,20 +297,31 @@ def _write_text(path: Path, text: str) -> None:
 
 # The CSV writers format floats with repr: the shortest decimal string that
 # round-trips to the same float. Every value they format is a Python float.
+# A row whose values cannot have changed reuses the previous row's text: a
+# blocked move keeps the pose (and so its goal distance) bit for bit, and an
+# update at rate 0 returns the probabilities unchanged. Row 1 is always
+# formatted, since the start it would repeat is not a row.
 def _trajectory_csv(record: RunRecord) -> str:
     lines = ["n,x,y,theta,action,flag,d,blocked"]
     rows = zip(record.x, record.y, record.theta, record.action, record.flag, record.d, record.blocked)
     for n, (x, y, theta, action, flag, d, blocked) in enumerate(rows, start=1):
-        lines.append(f"{n},{x!r},{y!r},{theta!r},{action},{flag},{d!r},{blocked}")
+        if not blocked or n == 1:
+            pose = f"{x!r},{y!r},{theta!r}"
+            dist = repr(d)
+        lines.append(f"{n},{pose},{action},{flag},{dist},{blocked}")
     return "\n".join(lines) + "\n"
 
 
 def _probs_csv(record: RunRecord) -> str:
     r = ACTION_COUNT
+    probs = record.probs
+    # The rate each step's update applied, indexed by its feedback flag.
+    rates = (record.config.scheme.reward_rate, record.config.scheme.penalty_rate)
     lines = ["n," + ",".join(f"p{i}" for i in range(1, r + 1))]
-    cells = list(map(repr, record.probs))
-    for n in range(1, record.total_steps + 1):
-        lines.append(f"{n}," + ",".join(cells[(n - 1) * r : n * r]))
+    for n, flag in enumerate(record.flag, start=1):
+        if rates[flag] or n == 1:
+            row = ",".join(map(repr, probs[(n - 1) * r : n * r]))
+        lines.append(f"{n},{row}")
     return "\n".join(lines) + "\n"
 
 
@@ -380,8 +391,14 @@ def build_svg(record: RunRecord) -> str:
         f'r="0.6" fill="#2a7e2a"/>'
     )
     if record.total_steps:
+        # A blocked move repeats the previous point's text, as in the CSVs. The
+        # first point is always formatted: the start "0,0" drops the sign of -0.0.
         points = ["0,0"]
-        points += [f"{_svg_coord(x)},{_svg_coord(-y)}" for x, y in zip(record.x, record.y)]
+        point = None
+        for x, y, blocked in zip(record.x, record.y, record.blocked):
+            if not blocked or point is None:
+                point = f"{_svg_coord(x)},{_svg_coord(-y)}"
+            points.append(point)
         parts.append(
             f'<polyline class="trajectory" points="{" ".join(points)}" '
             f'fill="none" stroke="#1f4fa0" stroke-width="0.5"/>'

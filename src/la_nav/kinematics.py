@@ -18,6 +18,7 @@ line when both wheels turn alike) and is computed in closed form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -45,10 +46,13 @@ class RobotParams:
             raise ValueError(f"wheel speed must be non-negative, got {self.wheel_speed!r}")
         if not self.action_duration > 0:
             raise ValueError(f"action duration must be positive, got {self.action_duration!r}")
-        # NaN failed above, so +inf is the one non-finite value left.
+        # NaN failed above, so what is left beyond float range is +inf or
+        # an integer too large to convert to a float.
         for name in ("wheel_radius", "axle_length", "wheel_speed", "action_duration"):
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name.replace('_', ' ')} must be finite, got inf")
+            value = getattr(self, name)
+            if value > sys.float_info.max:
+                got = "inf" if value == math.inf else "an integer beyond float range"
+                raise ValueError(f"{name.replace('_', ' ')} must be finite, got {got}")
 
 
 class Action(IntEnum):

@@ -217,6 +217,14 @@ class RunRecord:
     (0 success, 1 failure) and whether the move was ``blocked``. ``probs``
     holds the action probabilities after each update, ``ACTION_COUNT``
     values per step.
+
+    Two invariants hold bit for bit, and the CSV writers rely on them:
+
+    * a blocked step repeats the previous step's ``x``, ``y``, ``theta``
+      and ``d`` (the start pose and its goal distance for step 1);
+    * a step whose flag selects a zero rate of the scheme
+      (``(reward_rate, penalty_rate)[flag] == 0``) repeats the previous
+      step's probabilities (the uniform start for step 1).
     """
 
     x: array

@@ -14,7 +14,7 @@ from la_nav import (
     update_s_model,
 )
 
-from conftest import absorbed_vectors, draws, probability_vectors, rates
+from conftest import absorbed_vectors, draws, edge_rates, edge_vectors, probability_vectors, rates
 
 SUM_TOL = 1e-9
 
@@ -56,6 +56,30 @@ def test_unfavorable_monotonicity(p, chosen_frac, b):
     chosen = 1 + int(chosen_frac * len(p))
     out = update_p_unfavorable(p, chosen, b)
     assert out[chosen - 1] < p[chosen - 1]
+
+
+@settings(max_examples=1000)
+@given(p=edge_vectors(), chosen_frac=st.floats(0, 1, exclude_max=True), rate=edge_rates)
+def test_updates_keep_components_in_unit_interval_without_a_clip(p, chosen_frac, rate):
+    # The rounding argument in automata._finish's docstring, checked at the
+    # edges: subnormal components and rates, and rates next to 0, 1/2 and 1.
+    chosen = 1 + int(chosen_frac * len(p))
+    for out in (update_p_favorable(p, chosen, rate), update_p_unfavorable(p, chosen, rate)):
+        assert all(0.0 <= v <= 1.0 for v in out)
+
+
+@given(p=edge_vectors(), chosen_frac=st.floats(0, 1, exclude_max=True), other_rate=edge_rates)
+def test_rate_zero_update_returns_its_input_bit_for_bit(p, chosen_frac, other_rate):
+    # The CSV writers reuse the previous probabilities row on such a step.
+    chosen = 1 + int(chosen_frac * len(p))
+    bits = [v.hex() for v in p]
+    for out in (
+        update_p_favorable(p, chosen, 0.0),
+        update_p_unfavorable(p, chosen, 0.0),
+        apply_feedback(p, chosen, 0, LearningScheme.general(0.0, other_rate)),
+        apply_feedback(p, chosen, 1, LearningScheme.general(other_rate, 0.0)),
+    ):
+        assert [v.hex() for v in out] == bits
 
 
 @given(p=probability_vectors())

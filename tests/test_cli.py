@@ -18,6 +18,8 @@ from la_nav import (
 )
 from la_nav.cli import build_svg, emit_artifacts, main, parse_config
 
+from conftest import first_move_blocked_config, zero_reward_general_config
+
 
 def write_config(tmp_path, data, name="config.json"):
     path = tmp_path / name
@@ -217,30 +219,68 @@ def short_record():
     return run_episode(preset_config(1, seed=42))
 
 
+# Records that take every path of the CSV writers: a fresh row, a repeated
+# pose (blocked move) and repeated probabilities (update at rate 0), also on
+# row 1. Preset 2 seed 1 pushes into a wall, so nearly all its rows repeat.
+ROUND_TRIP_CONFIGS = {
+    "preset1": preset_config(1, seed=42),
+    "preset2": preset_config(2, seed=1),
+    "preset3": preset_config(3, seed=1),
+    "preset4": preset_config(4, seed=1),
+    "first-move-blocked": first_move_blocked_config(),
+    "zero-reward-general": zero_reward_general_config(),
+}
+
+
+@pytest.fixture(scope="module", params=list(ROUND_TRIP_CONFIGS))
+def round_trip_record(request):
+    return run_episode(ROUND_TRIP_CONFIGS[request.param])
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
 class TestArtifacts:
-    def test_round_trip_trajectory_bit_equal(self, short_record, tmp_path):
-        artifacts = emit_artifacts(short_record, tmp_path)
+    def test_round_trip_trajectory_bit_equal(self, round_trip_record, tmp_path):
+        artifacts = emit_artifacts(round_trip_record, tmp_path)
         with open(artifacts.trajectory_csv) as fh:
             rows = list(csv.DictReader(fh))
-        rec = short_record
+        rec = round_trip_record
         assert len(rows) == rec.total_steps
+        for name in ("x", "y", "theta", "d"):
+            assert _bits(row[name] for row in rows) == _bits(getattr(rec, name))
         for i, row in enumerate(rows):
             assert int(row["n"]) == i + 1
-            assert float(row["x"]) == rec.x[i]
-            assert float(row["y"]) == rec.y[i]
-            assert float(row["theta"]) == rec.theta[i]
-            assert float(row["d"]) == rec.d[i]
             assert int(row["action"]) == rec.action[i]
             assert int(row["flag"]) == rec.flag[i]
             assert int(row["blocked"]) == rec.blocked[i]
 
-    def test_round_trip_probability_history(self, short_record, tmp_path):
-        artifacts = emit_artifacts(short_record, tmp_path)
+    def test_round_trip_probability_history(self, round_trip_record, tmp_path):
+        artifacts = emit_artifacts(round_trip_record, tmp_path)
         with open(artifacts.probs_csv) as fh:
             rows = list(csv.DictReader(fh))
-        assert len(rows) == short_record.total_steps
-        cells = [float(row[f"p{i}"]) for row in rows for i in range(1, 7)]
-        assert cells == list(short_record.probs)
+        assert len(rows) == round_trip_record.total_steps
+        cells = [row[f"p{i}"] for row in rows for i in range(1, 7)]
+        assert _bits(cells) == _bits(round_trip_record.probs)
+
+    def test_round_trip_records_repeat_row_one(self):
+        # Row 1 has no previous row to reuse; these records repeat the start there.
+        blocked = run_episode(ROUND_TRIP_CONFIGS["first-move-blocked"])
+        assert (blocked.blocked[0], blocked.flag[0]) == (1, 1)
+        assert 0 < sum(blocked.blocked) < blocked.total_steps
+        general = run_episode(ROUND_TRIP_CONFIGS["zero-reward-general"])
+        assert general.flag[0] == 0
+        assert general.success
+
+    def test_polyline_repeats_blocked_points(self):
+        record = run_episode(ROUND_TRIP_CONFIGS["first-move-blocked"])
+        (polyline,) = (line for line in build_svg(record).splitlines() if "<polyline" in line)
+        points = polyline.split('points="')[1].split('"')[0].split(" ")
+        assert len(points) == record.total_steps + 1
+        for i, point in enumerate(points[1:]):
+            x, y = (float(v) for v in point.split(","))
+            assert (x, y) == (float(format(record.x[i], ".6g")), -float(format(record.y[i], ".6g")))
 
     def test_summary_contents(self, short_record, tmp_path):
         artifacts = emit_artifacts(short_record, tmp_path)

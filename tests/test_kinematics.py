@@ -236,3 +236,8 @@ class TestPoseAndParams:
     def test_params_validation(self, kwargs):
         with pytest.raises(ValueError):
             RobotParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["wheel_radius", "axle_length", "wheel_speed", "action_duration"])
+    def test_params_reject_integers_beyond_float_range(self, name):
+        with pytest.raises(ValueError, match="must be finite, got an integer beyond float range"):
+            RobotParams(**{name: 10**400})

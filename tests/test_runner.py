@@ -28,6 +28,8 @@ from la_nav import (
     run_episode,
 )
 
+from conftest import first_move_blocked_config
+
 
 # The box fills the bounds and the start lies on its edge, outside its open
 # interior: the spec builds, and only goal sampling can fail.
@@ -52,12 +54,6 @@ def prob_rows(record):
     """The probability vector after each step, as tuples."""
     r = ACTION_COUNT
     return [tuple(record.probs[i * r : (i + 1) * r]) for i in range(record.total_steps)]
-
-
-def poses(record):
-    """The pose before and after each step, as ``((x, y, theta), (x, y, theta))``."""
-    after = list(zip(record.x, record.y, record.theta))
-    return list(zip([(0.0, 0.0, 0.0)] + after[:-1], after))
 
 
 class TestEpisode:
@@ -116,14 +112,16 @@ class TestEpisode:
             probs_before = probs_after
 
     def test_blocked_steps_keep_pose_and_fail(self):
-        record = run_episode(preset_config(4, seed=1))
-        assert any(record.blocked), "expected at least one blocked step for this seed"
-        d_before = [math.hypot(*record.world.goal)] + list(record.d[:-1])
-        for i, (before, after) in enumerate(poses(record)):
-            if record.blocked[i]:
-                assert after == before
-                assert record.d[i] == d_before[i]
-                assert record.flag[i] == 1
+        # Bit for bit, pose and distance: the CSV writers reuse the previous row's text.
+        for config in (preset_config(4, seed=1), preset_config(2, seed=1), first_move_blocked_config()):
+            record = run_episode(config)
+            assert any(record.blocked), "expected at least one blocked step for this seed"
+            start = (0.0, 0.0, 0.0, math.hypot(*record.world.goal))
+            rows = list(zip(record.x, record.y, record.theta, record.d))
+            for before, after, blocked, flag in zip([start] + rows[:-1], rows, record.blocked, record.flag):
+                if blocked:
+                    assert [v.hex() for v in after] == [v.hex() for v in before]
+                    assert flag == 1
 
     def test_obstacle_safety_in_blocking_preset(self):
         record = run_episode(preset_config(4, seed=2))
