@@ -18,13 +18,12 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import ClassVar
-
-import numpy as np
+from typing import ClassVar, Protocol
 
 from .automata import LearningScheme, apply_feedback, init_uniform, select_action
 from .errors import ConfigError, InfeasibleWorldError
 from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table
+from .rng import PCG64
 from .world import (
     DEFAULT_MIN_START_DISTANCE_CM,
     GOAL_TOLERANCE_CM,
@@ -295,7 +294,13 @@ def _explicit_world(spec: WorldSpec) -> World:
         raise ConfigError("world.goal", str(exc)) from None
 
 
-def build_world(spec: WorldSpec, rng: np.random.Generator) -> World:
+class UniformSource(Protocol):
+    """Anything that draws uniformly from [low, high): ``la_nav.rng.PCG64``, a numpy ``Generator``."""
+
+    def uniform(self, low: float, high: float) -> float: ...
+
+
+def build_world(spec: WorldSpec, rng: UniformSource) -> World:
     """Materialize a :class:`World` from a recipe, consuming ``rng`` draws.
 
     A random goal is drawn uniformly over the bounds, x then y, and redrawn
@@ -327,7 +332,7 @@ def build_world(spec: WorldSpec, rng: np.random.Generator) -> World:
 def run_episode(config: ExperimentConfig) -> RunRecord:
     """Run one full episode; deterministic for a given config and seed."""
     moves = config.moves
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    rng = PCG64(config.seed)
     world = build_world(config.world, rng)
 
     scheme = config.scheme
@@ -397,22 +402,36 @@ class BatchResult:
     summary: dict
 
 
+def _percentile(ordered: list[int], q: int) -> float:
+    """numpy's default ``linear`` percentile (Hyndman & Fan type 7) of a sorted list, bit for bit.
+
+    The virtual index is ``(n - 1) * (q / 100)``, divided first as numpy
+    does; the interpolation runs from the upper value when the fraction is
+    at least one half, as numpy's ``_lerp`` does.
+    """
+    index = (len(ordered) - 1) * (q / 100)
+    if index >= len(ordered) - 1:
+        return float(ordered[-1])
+    below = int(index)
+    frac = index - below
+    a, b = float(ordered[below]), float(ordered[below + 1])
+    return b - (b - a) * (1 - frac) if frac >= 0.5 else a + (b - a) * frac
+
+
 def summarize(records: tuple[RunRecord, ...], failures: tuple[SeedFailure, ...] = ()) -> dict:
     """The ``summary`` object of ``batch_summary.json``: counts and step statistics of the runs."""
     successes = sum(1 for rec in records if rec.success)
     steps = dict.fromkeys(("mean", "median", "p10", "p25", "p75", "p90", "min", "max"))
     if records:
-        counts = np.array([rec.total_steps for rec in records], dtype=float)
-        p10, p25, p75, p90 = (float(v) for v in np.percentile(counts, [10, 25, 75, 90]))
+        counts = sorted(rec.total_steps for rec in records)
+        n = len(counts)
+        half = n // 2
         steps = {
-            "mean": float(counts.mean()),
-            "median": float(np.median(counts)),
-            "p10": p10,
-            "p25": p25,
-            "p75": p75,
-            "p90": p90,
-            "min": int(counts.min()),
-            "max": int(counts.max()),
+            "mean": sum(counts) / n,
+            "median": float(counts[half]) if n % 2 else (counts[half - 1] + counts[half]) / 2,
+            **{f"p{q}": _percentile(counts, q) for q in (10, 25, 75, 90)},
+            "min": counts[0],
+            "max": counts[-1],
         }
     return {
         "runs": len(records),

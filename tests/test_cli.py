@@ -3,8 +3,14 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import la_nav
 
 from la_nav import (
     ConfigError,
@@ -666,3 +672,44 @@ class TestMain:
         )
         doc = json.loads((out / "summary.json").read_text())
         assert doc["config"]["feedback_literal_eq10"] is True
+
+
+# The directory that holds the la_nav package, for child interpreters.
+PACKAGE_ROOT = str(Path(la_nav.__file__).resolve().parent.parent)
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports la_nav from ``PACKAGE_ROOT``."""
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": PACKAGE_ROOT},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+class TestWithoutNumpy:
+    def test_import_does_not_load_numpy(self):
+        proc = _python("import sys, la_nav.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_batch_runs_without_numpy(self, tmp_path):
+        # numpy cannot be imported in the child; its tree must equal one made here.
+        out, ref = tmp_path / "no_numpy", tmp_path / "ref"
+        argv = ["batch", "--preset", "4", "--seeds", "1..3"]
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from la_nav.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        proc = _python(code, *argv, "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert main([*argv, "--out", str(ref)]) == 0
+        files = sorted(p.relative_to(ref) for p in ref.rglob("*") if p.is_file())
+        assert len(files) == 1 + 3 * 4
+        assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
+        for name in files:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name

@@ -389,8 +389,11 @@ class TestBatch:
         assert s["success_count"] == sum(r.success for r in result.records)
         assert s["steps"]["min"] == counts[0]
         assert s["steps"]["max"] == counts[-1]
-        assert s["steps"]["median"] == pytest.approx(np.median(counts))
-        assert s["steps"]["mean"] == pytest.approx(np.mean(counts))
+        values = np.array(counts, dtype=float)
+        assert s["steps"]["median"] == np.median(values)
+        assert s["steps"]["mean"] == np.mean(values)
+        for q in (10, 25, 75, 90):
+            assert s["steps"][f"p{q}"] == np.percentile(values, q)
         assert 0.0 <= s["success_rate"] <= 1.0
 
     def test_summary_serialization(self):
