@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import random
 import sys
 from array import array
 from collections.abc import Sequence
@@ -23,7 +24,6 @@ from typing import ClassVar, Protocol
 from .automata import LearningScheme, apply_feedback, init_uniform, select_action
 from .errors import ConfigError, InfeasibleWorldError
 from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table
-from .rng import PCG64
 from .world import (
     DEFAULT_MIN_START_DISTANCE_CM,
     GOAL_TOLERANCE_CM,
@@ -39,7 +39,7 @@ from .world import (
     resolve_motion,
 )
 
-RNG_ALGORITHM = "pcg64"
+RNG_ALGORITHM = "mt19937"
 DEFAULT_MAX_STEPS = 5000
 
 # Config key of each RobotParams field, in echo order.
@@ -295,7 +295,7 @@ def _explicit_world(spec: WorldSpec) -> World:
 
 
 class UniformSource(Protocol):
-    """Anything that draws uniformly from [low, high): ``la_nav.rng.PCG64``, a numpy ``Generator``."""
+    """Anything that draws uniformly from [low, high): a ``random.Random``, a numpy ``Generator``."""
 
     def uniform(self, low: float, high: float) -> float: ...
 
@@ -332,7 +332,7 @@ def build_world(spec: WorldSpec, rng: UniformSource) -> World:
 def run_episode(config: ExperimentConfig) -> RunRecord:
     """Run one full episode; deterministic for a given config and seed."""
     moves = config.moves
-    rng = PCG64(config.seed)
+    rng = random.Random(config.seed)
     world = build_world(config.world, rng)
 
     scheme = config.scheme
@@ -424,11 +424,9 @@ def summarize(records: tuple[RunRecord, ...], failures: tuple[SeedFailure, ...] 
     steps = dict.fromkeys(("mean", "median", "p10", "p25", "p75", "p90", "min", "max"))
     if records:
         counts = sorted(rec.total_steps for rec in records)
-        n = len(counts)
-        half = n // 2
         steps = {
-            "mean": sum(counts) / n,
-            "median": float(counts[half]) if n % 2 else (counts[half - 1] + counts[half]) / 2,
+            "mean": sum(counts) / len(counts),
+            "median": _percentile(counts, 50),
             **{f"p{q}": _percentile(counts, q) for q in (10, 25, 75, 90)},
             "min": counts[0],
             "max": counts[-1],

@@ -227,10 +227,10 @@ def short_record():
 
 # Records that take every path of the CSV writers: a fresh row, a repeated
 # pose (blocked move) and repeated probabilities (update at rate 0), also on
-# row 1. Preset 2 seed 1 pushes into a wall, so nearly all its rows repeat.
+# row 1. Preset 2 seed 2 pushes into a wall, so nearly all its rows repeat.
 ROUND_TRIP_CONFIGS = {
     "preset1": preset_config(1, seed=42),
-    "preset2": preset_config(2, seed=1),
+    "preset2": preset_config(2, seed=2),
     "preset3": preset_config(3, seed=1),
     "preset4": preset_config(4, seed=1),
     "first-move-blocked": first_move_blocked_config(),
@@ -294,7 +294,7 @@ class TestArtifacts:
         assert doc["terminated"] == "goal_reached"
         assert doc["total_steps"] == short_record.total_steps
         assert doc["seed"] == 42
-        assert doc["rng_algorithm"] == "pcg64"
+        assert doc["rng_algorithm"] == "mt19937"
         assert doc["config_digest"] == short_record.config_digest
         assert doc["config"]["scheme"]["a"] == 0.7
         assert doc["world"]["goal"] == list(short_record.world.goal)
@@ -327,81 +327,80 @@ class TestArtifacts:
 
 
 # sha256 of (trajectory.csv, probs.csv, summary.json, plot.svg) written by
-# emit_artifacts, recorded before the scalar collision rewrite and the leaner
-# CSV row emission; both must keep every byte. The preset 3 rows were
-# recorded before the plain-value engine and its columnar RunRecord.
+# emit_artifacts for episodes that draw from random.Random(seed). A change
+# that keeps behaviour must keep every byte.
 GOLDEN_ARTIFACTS = {
     (1, 1): (
-        "13211e91756eb38777f56c97cbd2cca61e4da480907f7339cab1bcc2f897c2fe",
-        "1d353e6063f12d0145d0d093f3615bd7fbe7e107addecfeae443a2d6a2dfb08c",
-        "20cd6d5bc6551d71af7ca17dcbd4f1e771fa6fbb478305d3e76e108d9b775941",
-        "a0a5dd835cfd275f71f2fb539e33d1adf2c13127bba0e3033a1a94fb88e52202",
+        "29ca556405f06830851fff398de190b6d9b1d2468de61e0e0ad8fe24b87d69fa",
+        "bdfe42522b5568d7ab7c46fbe30b20753b168e0cd8db49db5c4aba2896c294c8",
+        "2b725d816f06ec95a92a9f11219b0778444ba7a0b83bf306d144c5b27ce027e9",
+        "e89761260067fc9dde16e0027ec8b28fb52f1a3d03d185c0557b3f22d2af5300",
     ),
     (1, 2): (
-        "52934b8c1cc0548c4d11b68a1cbf3dff9f6e4387966ddf3246d3de420f324a54",
-        "e4bec39a8a7566deaa9986d90a446691ba92dc125d5891508eb378caa640361f",
-        "d88f64d351585b7a6d64a30007f46b1ddd0570de5d9c24a323b8dc3cc17237a9",
-        "19d3a0facf913c4d73a8a92e520d31a21aacaa493bdd34bf467ff86a2338e3f3",
+        "66753a49eb34e4e954d2c3bbfdbe3f1ebd5997c4c4f7dd444b4471980d266e4f",
+        "2182c22fd04768abf982385378c4eabd5f79e0f27054c09cfce4a236031441ec",
+        "fb203f08d08c93dad08bef97abc1c38cdbe86da1e8a5045e492223730295cb5b",
+        "a290fea32f74d3840ee805fc2ceecf4e51bf0fbf8b180754a0e2a1c2b5f4cb87",
     ),
     (1, 3): (
-        "bbff2b8188c7cbc42dd82ef49bc888aab23336d6c403a2c1279881a3afa6c535",
-        "49671e76e42cac5d51093d6e0abcc6d800ae6475b1f53c93245751472f034e55",
-        "001abef2a4d5816bd0311beed4c66ce209f331852fbf077bbf559b5bfb6ad046",
-        "633fd8e3311d9df5d40303457a97a5b04031e4606a3694ad5f221e7b608e01bb",
+        "c6aafc8f6e8fe0966cbedf1b26ffa9011bddeabfc3b668ea0e292400a7b21644",
+        "f99afa061f2f21f43b891f6b1548c5da63b96822ab305d140e93fcea85ef7319",
+        "8d7f187aca717bfe92c065999aa58d2b19e44a5eb6e2099393b6d3681009ecff",
+        "1a40b74a5abae75f831e8e78a0a01fed2fd658a7bd79673dd0e2c69ff83d2b05",
     ),
     (2, 1): (
-        "83b2d38c20749e97f2dcfd611183e52e5f32a6389ab2ddc410b26b9dfe0f8bd8",
-        "733180ae157db5dd78f5accc3bdc2d633cacf9ec0d1534ed85421c87e9c8b49c",
-        "f363d5f9719a72194bdbb7006cb6f37ec71490cc438aa19b127ecdd4c7d183c8",
-        "194531899800ba9bbdbb7f481ba7f290d880953f792a0a702b7529ba736bd6a9",
+        "b0d3623500bf04075ffda109374aea14c8d7f687854d6b7d68be4ffdfab02720",
+        "f640d1933ed28bb7672fbeeee81210e85c133d72fed89db33a364add20d8509c",
+        "516de6f13dfe071777c77bde4cf55d6a00e44e16bec18fbcd601f78130c225e8",
+        "ab06966dae814ea2eae4f33215e5fc6d0fe52905d8f66b8ecb44bfbae629966e",
     ),
     (2, 2): (
-        "e09a72a1830dc298cdab9a6ae893ab4b285f3bc0088124df8f63270c7e69ef4b",
-        "6eb07818740389b329afd2ac49f4fa1ea35da8b779530d88414da0f8d3838634",
-        "257f681299b6be1b3c6da461f05fa3c5c617051e4a9e21b6a6e30940072cc00f",
-        "6943382a7157a54f6e9d22fffad203a277c8fee93c69ca17c33ede60446e59cc",
+        "c7b1ef28bba4ece9424a740eeb75eeb903e741d7a2ff8619956ac851f3289471",
+        "45769dce4607e33120d9d49e24eca6c393de6a7242053d10119b43538aba1f8e",
+        "e5c380bb9f24ee1e556c943c3e6ac545b15c5586817ac9342cc0c47b35bca9dc",
+        "15ec7497e436d85a12b559bdee9278e406e81c844a862e33e3c2513c018dd6f4",
     ),
     (2, 3): (
-        "9590be9fb0a039f64a6ca7c31b19f63ece3bc7c2458bedf205ffaf504883ada5",
-        "fbf346785e7f3fac297229dad029e41b943d612202a2d468f8a7a2398ce5289f",
-        "83324f375d4886dfa3d1f21c342dad68bd0abb4dcf07b51edde11903857ca3dd",
-        "e5ee7879c316c863cde2fa3deba093160578764b3f478f548789f0e410cb3550",
+        "0134928039560cc487d6c9a4dedb4a632fef47f97ac3ce5e8d7054a76087084e",
+        "e0f5094eae54d0ff31196c2869e61a692190bcf379b3c7136a0bf48cc19f77f4",
+        "40e1af62f3b7a1f8ee902c79ce4ca0b2641da5a1b8973d6f5aeaacff4d87342c",
+        "95b5e43a51ed1e75e5335810b08daca25ebdc78f6b554d4d9bcdebe1865b92d6",
     ),
     (3, 1): (
-        "2907ef1389988ebac12a71bd5d1ae96ed48a9c853d9e10c3522f5167b4413785",
-        "f7e7ae20f4a25d8f85f7d7ae4f6900e7a13b07954cbcb939cb2e6082593b150f",
-        "a61be4ce29a6806dc777eb015edfc46a9eccc4ed6c766e7794efaea0018a1b62",
-        "8235d9d43a00e46bee12a868384a926c22a8ea08cc8286210d749a92a408a144",
+        "e01ad88c67b0ea71f493a2101bce0563db1bbd534e7b3d9cfa428c0d7c6fe62b",
+        "18827a35ddab89cb768e4b1aaa112814686acb3e3e363ae981cfa9978991f281",
+        "17c420e44d3cebce0a23eee5a4cc8cea91c336440d16cb7099a18c1fe18d4f47",
+        "51cb5cbb1ebbb40cb0718269addac0daa56679b6ec130dd507a236f959c69147",
     ),
     (3, 2): (
-        "eac1567391280343fb611007843689a2e573a4cd84031ed9ac183d9e3b3e4bf1",
-        "46e4446ba9ec35245b73db545904ad8acfd06c0117df2cf504c0c9155faf4c99",
-        "dfb82e34a76862203e4d527b15a9e0be78b4da8dbefb3c213777b5fdd1d19758",
-        "b9595c4fd755219762ebcea6e5dc889b59bd2841ff7c66f69d9a5be1f6fb9a71",
+        "e2164cd5ad052fd252fecdb3b3750290f7c0aacc267d477cec27ae4127f8082e",
+        "5583071da1e53446d4c52d8e22c152f9948e5a0cad20623dff12e07ff3d52971",
+        "1d5026b45cc5aca67ee216b3d88ea811b5d738fb58bb75be2a79ffa3bfccef3e",
+        "161b6da4c600562b5168fb8c4edfd5947e20145cc95fbd23fcb7f12c0a7a5058",
     ),
     (3, 3): (
-        "89675842ff841cf52be2d928ea766215a2e67e421d80f19955d631ec2b55caa4",
-        "76efbce0d29c6119e0f49d24a46e0175388ba18340197309b52a3d7470fdda43",
-        "9b05fdfc21c85c62e532d850aea84a32e79c58258ab619b7b34b86606a536273",
-        "e4a4550d7652a161afee89d5a86e087a2647b605992fba8a4d512b5492a44bb7",
+        "8b63db976eecd5dce103c560e7e5b96207f45624de4b91789fd080e63aa56dda",
+        "52adf8e71388b8bb53723ccbb9dad07da769a44e4eb955485fb95505cfdb3691",
+        "cfaafa4b36dc6018e07475d5cbc03b00429aa5dcc3d14b351fa8bb992a1d3bcf",
+        "ff1f1bac2765178d4a5d463714bec779fb9e3754130d0bfbac524029d9f7b61a",
     ),
     (4, 1): (
-        "351f5d7fef7a98f4c5b92b4d4ddabae2ffd66a605ff8025f2bfe5d8f4af3b995",
-        "b42976a9c68261d648daa1a28d7c3537e410e6d86460fcb854241f8008a5d966",
-        "3c61411c56225cb2e17913666d18357bb7f1e0cb7972048148efddda3a64ccea",
-        "af5fbe514595215b7f5fd47104692f8cc21ec059c80fa6711d0b15ba1fb18d23",
+        "ac11796456f771d6d9957367b148bb38d82e993032b2b20c718fca68e486f831",
+        "10c8f25a0e98f2ab085860c3cc47e2294f688b6133a413b4151d76fa38350e94",
+        "1fef565993f58f01c8486b531e9e2a2a063e74a96f70fb47c5bceb506d5a640f",
+        "04862a60b081091b9107474a5570cc2eaba32d495838b816bbdb47716f2e2f61",
     ),
     (4, 2): (
-        "b7f3223bb655b13fd69b709704a81a1058b71c65c1ed2f3884fb263e389a9b6b",
-        "7f0acd39b780965ee7a6254306be02b8b383893360898bc8a12cd8ffb90a1402",
-        "13535e2524e97bda5c20582d758ece627faa5f1cc85a674dd4a21610854ab9a8",
-        "21ebfd272d32d7d02997d302f52672b93b30f85479ca4959a4d14e27a14a1597",
+        "5c8d82e6b83f180cf54dec00003343569f27e624471e3fadd6afa2f5301b7cbb",
+        "5b46cd0f8f1e05d311c5f3343373a31a42ac7918b063fd42258c2ffc949982f5",
+        "ce2bd3592f730c04578e75c364e47d821d9e4430c8e1d1fa55b03ba433658271",
+        "326704b991b21a543bcc0dcb7bdceb457dab8b0bec2e9956d66be0f2eea090a3",
     ),
     (4, 3): (
-        "302975b81a16f06c690e534339f973165fe7d582610c14d2cfc5587a6bba210b",
-        "2c0a323140baa5b784f81d01f1d749c2a9e27a399e241b3f3b266be6573fbf11",
-        "81e1490bdaa1318e001a9ea2a4c5431cc2f8be6b291eb472bb257bba4d998eb1",
-        "2e8610d172e5db9f5955d439ab5f189954dd84f4eeb6a51796be610836fd85d3",
+        "d9ecd357ccbb649f5995fb9a6eb49f3c7894b5b38ae54c5f49219c2bac952a69",
+        "68f0207e0a767e5444bb6dc8b90ef9ade34a00d32431fa3e8c585efa75ac41a4",
+        "20733968f444273a4b30859bc56a7ca5443d850d8b3fbf86c093225d531a9465",
+        "4d25ca862e27c571a68170987cb68551610aa0240ca4435c21cb0e46465af466",
     ),
 }
 

@@ -3,9 +3,12 @@
 import hashlib
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from la_nav import (
     ACTION_COUNT,
@@ -26,6 +29,7 @@ from la_nav import (
     preset_config,
     run_batch,
     run_episode,
+    summarize,
 )
 
 from conftest import first_move_blocked_config
@@ -113,7 +117,7 @@ class TestEpisode:
 
     def test_blocked_steps_keep_pose_and_fail(self):
         # Bit for bit, pose and distance: the CSV writers reuse the previous row's text.
-        for config in (preset_config(4, seed=1), preset_config(2, seed=1), first_move_blocked_config()):
+        for config in (preset_config(4, seed=1), preset_config(2, seed=2), first_move_blocked_config()):
             record = run_episode(config)
             assert any(record.blocked), "expected at least one blocked step for this seed"
             start = (0.0, 0.0, 0.0, math.hypot(*record.world.goal))
@@ -136,7 +140,7 @@ class TestEpisode:
 
     def test_rng_algorithm_recorded(self):
         record = run_episode(pinned_goal_config())
-        assert record.rng_algorithm == "pcg64"
+        assert record.rng_algorithm == "mt19937"
 
     def test_overflowing_robot_fails_at_construction(self):
         with pytest.raises(ConfigError) as err:
@@ -416,37 +420,71 @@ class TestBatch:
         assert len(calls) == 3
 
 
+def _records(counts):
+    return tuple(SimpleNamespace(total_steps=n, success=n < 5000) for n in counts)
+
+
+class TestSummarizeMatchesNumpy:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=5000), min_size=1, max_size=400))
+    @example([7])
+    @example([3, 9])
+    @example([5000, 1, 17, 17])
+    @example(list(range(1, 401)))
+    def test_step_statistics(self, counts):
+        steps = summarize(_records(counts))["steps"]
+        values = np.array(counts, dtype=float)
+        p10, p25, p75, p90 = np.percentile(values, [10, 25, 75, 90])
+        expected = {
+            "mean": float(values.mean()),
+            "median": float(np.median(values)),
+            "p10": float(p10),
+            "p25": float(p25),
+            "p75": float(p75),
+            "p90": float(p90),
+            "min": int(values.min()),
+            "max": int(values.max()),
+        }
+        assert steps == expected
+        assert [type(v) for v in steps.values()] == [type(v) for v in expected.values()]
+
+    def test_no_records(self):
+        steps = summarize(())["steps"]
+        assert list(steps) == ["mean", "median", "p10", "p25", "p75", "p90", "min", "max"]
+        assert set(steps.values()) == {None}
+
+
 # (total_steps, sha256 over the per-step "action,flag,blocked;" records) for
 # seeds 1..5 of each preset. Any change to selection, kinematics, collision,
 # grading or the update rules that alters an episode's decisions shows here.
 GOLDEN_EPISODES = {
     1: [
-        (115, "fd5036b8b8192386197f0940de6ccad9896844536bb5c566ad11c5ff9ff62f0f"),
-        (167, "398d75493b1cabbfd6f79ddadac038a66bbd3ae1f06b07bb0dfbdb21c59e2861"),
-        (196, "aefb91a90ebeaf5cc01437c02d0b0255f787d197256b59888953925ea7072742"),
-        (286, "0a748119044aa9d15eece50d248b134221c9538f1fbe8d126fa208b5837c545d"),
-        (162, "4cefc1221998356df85733d853cc2c693ce87c234ce769774a030a9740b2ef9e"),
+        (237, "529c0ceb4a6c3744ecd7d887cbd12b7f2c1e19e9130f09a6e67b02a37fa3a6eb"),
+        (180, "fac313986f5c733a241c2abd3159e25df5e474bd56b5d66f2f1f7d97ee77efa2"),
+        (94, "ea512617db4c4eeb47efdab225dd380f8a9e86d0157ab8da8e0639212e611aa7"),
+        (220, "9a688380215e61b485a97c1b297b48b65be11fcd8ac5bc2426c4f5580ef54920"),
+        (145, "54d56bee4481badae13eaa7712b342feea96d752b8053a3c50c56021633584cc"),
     ],
     2: [
-        (5000, "f95203a04b964c4042da083185ee0eac14ae77d84e4c2b4dccc3cfc38772f118"),
-        (5000, "bf9774d9dfa4d25fe47c485fa79f677c39f171dda89335cc4d9a67d7e539ea17"),
-        (5000, "3785a84df99c3b21d67a2a067a2985283007b5b87d5f1489a9e239dfa713aa4b"),
-        (5000, "ecdadde20dce0f61ff1a64d2f225a1d893a1fcaf7d2d9e7dc4942cf14f5da427"),
-        (5000, "6c8573b3094820182448fd39abc8460f06a603695711c023a815b8bbef698511"),
+        (5000, "186c03d3cf41a7d754e47d668bda242519d1c75ca811ec09e6effa2a8788c9a7"),
+        (5000, "b3a0fe28b9573c9ee312aff088d7b28c489c325bcae6fa8768669a4f56cf562b"),
+        (5000, "306acef732dc73b248ecf2d4ff6eb89141efab74438988ee0458e7dac21193d5"),
+        (5000, "2fdc2b01ef157883be50114871cc595e724572d9effeefbe4570314459664688"),
+        (5000, "f95ffaae044675f8506911956d772dd28d75aef520805bc6f1dffeccc3f4b030"),
     ],
     3: [
-        (394, "a9faece33e82752a37ae3bf0a91b44d06a1c1e178b9e41cb189d4b31df6c0186"),
-        (495, "d122987a58ba595ccc8b47e51236bf7f13e226cf7c4235b5f4cb1afeab63e805"),
-        (825, "6fd8304112a64f4c2e241003277c05f5671d29c92cbc3447ee909864a37b9160"),
-        (1076, "711ad0e066149d5ace791edcf9c7f5fcb5d1337021b23b1867b545bb82cbd281"),
-        (596, "e66fddc3917d1cbfe930091f6d77f7fb234445b77a1771fd831e505987b55d66"),
+        (666, "8b96f0bf61a63a8a795f3849988d30c28fe897302c678f46e8b299c24574d46c"),
+        (768, "91fde3ebfb31fc3cbb5abf2b182f61d89b0be95f209dc4f0f44f449c1e8f3b8d"),
+        (312, "4c71f3ecd8de53ce9324236f52be942ff8aaca1acad08a401edbf3350b68cb3b"),
+        (699, "7accfc9f43c2f390a7937a84c3d5556d7a5f447efa292eacf29b26643b7409b5"),
+        (1397, "7361601042c881202d37efc3177e5394eef8ecc440b4771f06ec13ceeaeb65f7"),
     ],
     4: [
-        (274, "8c2e87743402188b957db6ba36c9af46a744bbb8150fffb4640eb82da247a967"),
-        (192, "79a361c92473ba50d85cd141d1fda546014dda96529e79769aaf7d7dcd930c71"),
-        (227, "74dbd3e0f7712e13a74d3c6b6f4ddf0419834aef0e15b544c5399a26313eba62"),
-        (239, "a61438fd182e9506e7b87f88b38bebcfb3d8ed59d3e82abbc6d96259c3200597"),
-        (149, "8fe159b3cf709f080008f505f2a069af8957dd1914d00f679f59af82d3e716a3"),
+        (266, "0e1babd704a5182eaee8e33e8d2744c13094a155743df77c68b28972142c742d"),
+        (247, "692f4225c32bb33c9cfd83332c8442ba508e86fb545842d537a7cb6bf57e7290"),
+        (184, "89f5fad43a307fdd2195ab59e07ce74f6b001c98067a5e26efddb73d64898053"),
+        (265, "2b3ca0c0a56634e94e525473da722792b8c9e6c39d4f5c5164e691d518ae55fc"),
+        (290, "0c16055f952ab06f0b798f25763257151e2bcac0bba2284f9a36330023286c54"),
     ],
 }
 
