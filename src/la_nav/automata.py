@@ -13,8 +13,9 @@ through the explicit ``draw`` argument (callers own their generators).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+
+from ._value import Value, _set
 
 SUM_TOLERANCE = 1e-9
 
@@ -50,8 +51,7 @@ class SchemeKind(str, Enum):
     PENALTY_ONLY = "penalty_only"
 
 
-@dataclass(frozen=True, slots=True)
-class LearningScheme:
+class LearningScheme(Value):
     """Reinforcement scheme: reward/penalty rates plus the scheme family.
 
     ``reward_rate`` scales updates after successes, ``penalty_rate`` after
@@ -60,23 +60,23 @@ class LearningScheme:
     the reward. ``kind`` may be a ``SchemeKind`` or its string value.
     """
 
-    kind: SchemeKind
-    reward_rate: float
-    penalty_rate: float = 0.0
+    __slots__ = _fields = ("kind", "reward_rate", "penalty_rate")
 
-    def __post_init__(self) -> None:
-        kind = SchemeKind(self.kind)
-        object.__setattr__(self, "kind", kind)
-        if not 0.0 <= self.reward_rate <= 1.0:
-            raise ValueError(f"reward rate {self.reward_rate!r} outside [0, 1]")
-        if not 0.0 <= self.penalty_rate <= 1.0:
-            raise ValueError(f"penalty rate {self.penalty_rate!r} outside [0, 1]")
-        if kind is SchemeKind.LRP and self.reward_rate != self.penalty_rate:
+    def __init__(self, kind: SchemeKind, reward_rate: float, penalty_rate: float = 0.0) -> None:
+        kind = SchemeKind(kind)
+        if not 0.0 <= reward_rate <= 1.0:
+            raise ValueError(f"reward rate {reward_rate!r} outside [0, 1]")
+        if not 0.0 <= penalty_rate <= 1.0:
+            raise ValueError(f"penalty rate {penalty_rate!r} outside [0, 1]")
+        if kind is SchemeKind.LRP and reward_rate != penalty_rate:
             raise ValueError("reward-penalty scheme requires equal reward and penalty rates")
-        if kind is SchemeKind.LRI and self.penalty_rate != 0.0:
+        if kind is SchemeKind.LRI and penalty_rate != 0.0:
             raise ValueError("reward-inaction scheme requires a zero penalty rate")
-        if kind is SchemeKind.PENALTY_ONLY and self.reward_rate != 0.0:
+        if kind is SchemeKind.PENALTY_ONLY and reward_rate != 0.0:
             raise ValueError("penalty-only scheme requires a zero reward rate")
+        _set(self, "kind", kind)
+        _set(self, "reward_rate", reward_rate)
+        _set(self, "penalty_rate", penalty_rate)
 
     @classmethod
     def general(cls, reward_rate: float, penalty_rate: float) -> "LearningScheme":

@@ -19,9 +19,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
+from ._value import Value, _set
 from .automata import LearningScheme, SchemeKind
 from .errors import ConfigError, SimulationError
 from .kinematics import ACTION_COUNT, RobotParams
@@ -47,14 +48,18 @@ _CIRCLE_KEYS = {"shape", "center", "radius"}
 _RECT_KEYS = {"shape", "min", "max"}
 
 
-@dataclass(frozen=True, slots=True)
-class RunArtifacts:
+class RunArtifacts(Value):
     """Paths of the four files emitted for one run."""
 
-    trajectory_csv: Path
-    probs_csv: Path
-    summary_json: Path
-    plot_svg: Path
+    __slots__ = _fields = ("trajectory_csv", "probs_csv", "summary_json", "plot_svg")
+
+    def __init__(
+        self, trajectory_csv: Path, probs_csv: Path, summary_json: Path, plot_svg: Path
+    ) -> None:
+        _set(self, "trajectory_csv", trajectory_csv)
+        _set(self, "probs_csv", probs_csv)
+        _set(self, "summary_json", summary_json)
+        _set(self, "plot_svg", plot_svg)
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +323,20 @@ def _probs_csv(record: RunRecord) -> str:
     # The rate each step's update applied, indexed by its feedback flag.
     rates = (record.config.scheme.reward_rate, record.config.scheme.penalty_rate)
     lines = ["n," + ",".join(f"p{i}" for i in range(1, r + 1))]
-    for n, flag in enumerate(record.flag, start=1):
-        if rates[flag] or n == 1:
-            row = ",".join(map(repr, probs[(n - 1) * r : n * r]))
+    prev = -r  # where the previous row starts
+    for n, action, flag in zip(count(1), record.action, record.flag):
+        i = prev + r
+        # An update at a nonzero rate can still return the vector unchanged:
+        # a reward for an action already at exactly 1.0 (absorbed L_R-I).
+        # Only then are the rows compared. No probability is ever -0.0 (every
+        # update multiplies and adds non-negative values), so equal rows have
+        # the same repr.
+        if n == 1 or rates[flag] and not (
+            probs[prev + action - 1] == 1.0 and probs[i : i + r] == probs[prev:i]
+        ):
+            row = ",".join(map(repr, probs[i : i + r]))
         lines.append(f"{n},{row}")
+        prev = i
     return "\n".join(lines) + "\n"
 
 

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from enum import IntEnum
 
+from ._value import Value, _set
 
-@dataclass(frozen=True, slots=True)
-class RobotParams:
+
+class RobotParams(Value):
     """Physical drive parameters.
 
     ``wheel_radius`` and ``axle_length`` are in cm, ``wheel_speed`` in
@@ -32,27 +32,30 @@ class RobotParams:
     seconds. All four are finite.
     """
 
-    wheel_radius: float = 2.8
-    axle_length: float = 12.0
-    wheel_speed: float = 2.0
-    action_duration: float = 0.5
+    __slots__ = _fields = ("wheel_radius", "axle_length", "wheel_speed", "action_duration")
 
-    def __post_init__(self) -> None:
-        if not self.wheel_radius > 0:
-            raise ValueError(f"wheel radius must be positive, got {self.wheel_radius!r}")
-        if not self.axle_length > 0:
-            raise ValueError(f"axle length must be positive, got {self.axle_length!r}")
-        if not self.wheel_speed >= 0:
-            raise ValueError(f"wheel speed must be non-negative, got {self.wheel_speed!r}")
-        if not self.action_duration > 0:
-            raise ValueError(f"action duration must be positive, got {self.action_duration!r}")
+    def __init__(
+        self,
+        wheel_radius: float = 2.8,
+        axle_length: float = 12.0,
+        wheel_speed: float = 2.0,
+        action_duration: float = 0.5,
+    ) -> None:
+        if not wheel_radius > 0:
+            raise ValueError(f"wheel radius must be positive, got {wheel_radius!r}")
+        if not axle_length > 0:
+            raise ValueError(f"axle length must be positive, got {axle_length!r}")
+        if not wheel_speed >= 0:
+            raise ValueError(f"wheel speed must be non-negative, got {wheel_speed!r}")
+        if not action_duration > 0:
+            raise ValueError(f"action duration must be positive, got {action_duration!r}")
         # NaN failed above, so what is left beyond float range is +inf or
         # an integer too large to convert to a float.
-        for name in ("wheel_radius", "axle_length", "wheel_speed", "action_duration"):
-            value = getattr(self, name)
+        for name, value in zip(self._fields, (wheel_radius, axle_length, wheel_speed, action_duration)):
             if value > sys.float_info.max:
                 got = "inf" if value == math.inf else "an integer beyond float range"
                 raise ValueError(f"{name.replace('_', ' ')} must be finite, got {got}")
+            _set(self, name, value)
 
 
 class Action(IntEnum):

@@ -10,17 +10,15 @@ template across a seed list.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
 import sys
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import ClassVar, Protocol
 
+from ._value import Value, _set
 from .automata import LearningScheme, apply_feedback, init_uniform, select_action
 from .errors import ConfigError, InfeasibleWorldError
 from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table
@@ -53,8 +51,7 @@ _START_CLEARANCE_CM = 0.5
 _MAX_WORLD_ATTEMPTS = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class WorldSpec:
+class WorldSpec(Value):
     """World recipe: either an explicit goal or a random-goal directive.
 
     ``auto_blocking_pair`` derives the two-disc blocking layout from the
@@ -65,48 +62,56 @@ class WorldSpec:
     ``min_start_distance`` from the start for a random goal.
     """
 
-    goal: tuple[float, float] | None = None
-    tolerance: float = GOAL_TOLERANCE_CM
-    bounds: Bounds = field(default_factory=Bounds)
-    obstacles: tuple[Obstacle, ...] = ()
-    min_start_distance: float = DEFAULT_MIN_START_DISTANCE_CM
-    auto_blocking_pair: bool = False
+    __slots__ = _fields = (
+        "goal", "tolerance", "bounds", "obstacles", "min_start_distance", "auto_blocking_pair"
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if self.goal is not None:
+    def __init__(
+        self,
+        goal: tuple[float, float] | None = None,
+        tolerance: float = GOAL_TOLERANCE_CM,
+        bounds: Bounds = Bounds(),
+        obstacles: tuple[Obstacle, ...] = (),
+        min_start_distance: float = DEFAULT_MIN_START_DISTANCE_CM,
+        auto_blocking_pair: bool = False,
+    ) -> None:
+        obstacles = tuple(obstacles)
+        if goal is not None:
             try:
-                object.__setattr__(self, "goal", _point(self.goal, "goal"))
+                goal = _point(goal, "goal")
             except ValueError as exc:
                 raise ConfigError("world.goal", str(exc)) from None
-        object.__setattr__(self, "tolerance", _finite(self.tolerance, "tolerance"))
-        object.__setattr__(
-            self, "min_start_distance", _finite(self.min_start_distance, "min start distance")
-        )
-        if not self.tolerance > 0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance!r}")
-        if not self.min_start_distance >= 0:
-            raise ValueError(
-                f"min start distance must be non-negative, got {self.min_start_distance!r}"
-            )
-        if self.auto_blocking_pair and self.obstacles:
+        tolerance = _finite(tolerance, "tolerance")
+        min_start_distance = _finite(min_start_distance, "min start distance")
+        # _explicit_world reads the spec, so the fields are set before the checks.
+        _set(self, "goal", goal)
+        _set(self, "tolerance", tolerance)
+        _set(self, "bounds", bounds)
+        _set(self, "obstacles", obstacles)
+        _set(self, "min_start_distance", min_start_distance)
+        _set(self, "auto_blocking_pair", auto_blocking_pair)
+        if not tolerance > 0:
+            raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+        if not min_start_distance >= 0:
+            raise ValueError(f"min start distance must be non-negative, got {min_start_distance!r}")
+        if auto_blocking_pair and obstacles:
             raise ValueError("auto_blocking_pair replaces the obstacle list; give one or the other")
-        if self.auto_blocking_pair and self.goal == (0.0, 0.0):
+        if auto_blocking_pair and goal == (0.0, 0.0):
             # The pair straddles the start-to-goal line, which needs a direction.
             raise ValueError("auto_blocking_pair needs a goal away from the start (0, 0)")
-        if self.goal is not None:
+        if goal is not None:
             _explicit_world(self)
-        if not self.bounds.contains(0.0, 0.0):
+        if not bounds.contains(0.0, 0.0):
             raise ConfigError("world.bounds", "bounds must contain the start position (0, 0)")
-        if any(obs.contains(0.0, 0.0) for obs in self.obstacles):
+        if any(obs.contains(0.0, 0.0) for obs in obstacles):
             raise ConfigError("world.obstacles", "start position (0, 0) lies inside an obstacle")
-        if self.goal is None:
-            b = self.bounds
+        if goal is None:
+            b = bounds
             farthest = math.hypot(max(-b.x_min, b.x_max), max(-b.y_min, b.y_max))
-            if self.min_start_distance > farthest:
+            if min_start_distance > farthest:
                 raise ConfigError(
                     "world.random_goal",
-                    f"min start distance {self.min_start_distance:g} cm exceeds {farthest:g} cm, "
+                    f"min start distance {min_start_distance:g} cm exceeds {farthest:g} cm, "
                     "the largest distance from the start (0, 0) to a point of the bounds",
                 )
 
@@ -127,8 +132,7 @@ def _check_int(value, field: str) -> None:
         raise ConfigError(field, f"expected an integer, got {value!r}")
 
 
-@dataclass(frozen=True, slots=True)
-class ExperimentConfig:
+class ExperimentConfig(Value):
     """Everything that determines a run: scheme, robot, world recipe, seed.
 
     Building a config checks it: a ``seed``, ``max_steps``, ``preset`` or
@@ -140,44 +144,56 @@ class ExperimentConfig:
     for the episode to drive with.
     """
 
-    scheme: LearningScheme
-    seed: int
-    robot: RobotParams = field(default_factory=RobotParams)
-    world: WorldSpec = field(default_factory=WorldSpec)
-    max_steps: int = DEFAULT_MAX_STEPS
-    feedback_literal_eq10: bool = False
-    preset: int | None = None
-    moves: tuple[tuple[float, float, float], ...] = field(init=False, repr=False, compare=False)
+    _fields = ("scheme", "seed", "robot", "world", "max_steps", "feedback_literal_eq10", "preset")
+    __slots__ = (*_fields, "moves")
 
-    def __post_init__(self) -> None:
-        _check_int(self.seed, "seed")
-        _check_int(self.max_steps, "max_steps")
-        literal = self.feedback_literal_eq10
-        if not isinstance(literal, bool):
-            raise ConfigError("feedback_literal_eq10", f"expected true/false, got {literal!r}")
-        if self.preset is not None:
-            _check_int(self.preset, "preset")
-        if self.seed < 0:
-            raise ConfigError("seed", f"must be non-negative, got {self.seed}")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps", f"must be >= 1, got {self.max_steps}")
-        if self.max_steps > sys.float_info.max:
+    def __init__(
+        self,
+        scheme: LearningScheme,
+        seed: int,
+        robot: RobotParams = RobotParams(),
+        world: WorldSpec = WorldSpec(),
+        max_steps: int = DEFAULT_MAX_STEPS,
+        feedback_literal_eq10: bool = False,
+        preset: int | None = None,
+    ) -> None:
+        _check_int(seed, "seed")
+        _check_int(max_steps, "max_steps")
+        if not isinstance(feedback_literal_eq10, bool):
+            raise ConfigError(
+                "feedback_literal_eq10", f"expected true/false, got {feedback_literal_eq10!r}"
+            )
+        if preset is not None:
+            _check_int(preset, "preset")
+        if seed < 0:
+            raise ConfigError("seed", f"must be non-negative, got {seed}")
+        if max_steps < 1:
+            raise ConfigError("max_steps", f"must be >= 1, got {max_steps}")
+        if max_steps > sys.float_info.max:
             raise ConfigError(
                 "max_steps",
                 f"must be at most {sys.float_info.max:g}, got an integer beyond float range",
             )
         try:
-            moves = move_table(self.robot)
+            moves = move_table(robot)
         except ValueError as exc:
             raise ConfigError("robot", str(exc)) from None
         # The heading is a sum of at most max_steps turns, so this bound keeps
         # it, and every mid-arc heading, finite for the whole episode. The turn
         # goes first, so a robot that never turns gives 0.0, not 0.0 * inf.
-        if not math.isfinite(2.0 * max(abs(turn) for _, _, turn in moves) * (self.max_steps + 1)):
+        if not math.isfinite(2.0 * max(abs(turn) for _, _, turn in moves) * (max_steps + 1)):
             raise ConfigError(
-                "robot", f"the heading can leave float range within {self.max_steps} steps"
+                "robot", f"the heading can leave float range within {max_steps} steps"
             )
-        object.__setattr__(self, "moves", moves)
+        _set(self, "scheme", scheme)
+        _set(self, "seed", seed)
+        _set(self, "robot", robot)
+        _set(self, "world", world)
+        _set(self, "max_steps", max_steps)
+        _set(self, "feedback_literal_eq10", feedback_literal_eq10)
+        _set(self, "preset", preset)
+        # Derived from robot: out of eq, hash, repr and replace.
+        _set(self, "moves", moves)
 
     def to_dict(self) -> dict:
         return {
@@ -197,6 +213,8 @@ class ExperimentConfig:
 
 def config_digest(config: ExperimentConfig) -> str:
     """Stable hash of the full configuration, seed included."""
+    import hashlib  # imported here: only digests need it, and it is slow to import
+
     canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("ascii")).hexdigest()
 
@@ -206,8 +224,7 @@ class Termination(str, Enum):
     MAX_STEPS_EXCEEDED = "max_steps_exceeded"
 
 
-@dataclass(frozen=True, slots=True)
-class RunRecord:
+class RunRecord(Value):
     """Complete, reproducible trace of one episode, one column per quantity.
 
     Row ``i`` of every column is step ``i + 1``, as written to
@@ -226,20 +243,41 @@ class RunRecord:
       step's probabilities (the uniform start for step 1).
     """
 
-    x: array
-    y: array
-    theta: array
-    d: array
-    probs: array
-    action: array
-    flag: array
-    blocked: array
-    terminated: Termination
-    seed: int
-    config_digest: str
-    config: ExperimentConfig
-    world: World
-    rng_algorithm: ClassVar[str] = RNG_ALGORITHM
+    __slots__ = _fields = (
+        "x", "y", "theta", "d", "probs", "action", "flag", "blocked",
+        "terminated", "seed", "config_digest", "config", "world",
+    )
+    rng_algorithm = RNG_ALGORITHM
+
+    def __init__(
+        self,
+        x: array,
+        y: array,
+        theta: array,
+        d: array,
+        probs: array,
+        action: array,
+        flag: array,
+        blocked: array,
+        terminated: Termination,
+        seed: int,
+        config_digest: str,
+        config: ExperimentConfig,
+        world: World,
+    ) -> None:
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "theta", theta)
+        _set(self, "d", d)
+        _set(self, "probs", probs)
+        _set(self, "action", action)
+        _set(self, "flag", flag)
+        _set(self, "blocked", blocked)
+        _set(self, "terminated", terminated)
+        _set(self, "seed", seed)
+        _set(self, "config_digest", config_digest)
+        _set(self, "config", config)
+        _set(self, "world", world)
 
     @property
     def total_steps(self) -> int:
@@ -294,14 +332,11 @@ def _explicit_world(spec: WorldSpec) -> World:
         raise ConfigError("world.goal", str(exc)) from None
 
 
-class UniformSource(Protocol):
-    """Anything that draws uniformly from [low, high): a ``random.Random``, a numpy ``Generator``."""
-
-    def uniform(self, low: float, high: float) -> float: ...
-
-
-def build_world(spec: WorldSpec, rng: UniformSource) -> World:
+def build_world(spec: WorldSpec, rng) -> World:
     """Materialize a :class:`World` from a recipe, consuming ``rng`` draws.
+
+    ``rng`` is anything with ``uniform(low, high)`` that draws from
+    [low, high): a ``random.Random``, a numpy ``Generator``.
 
     A random goal is drawn uniformly over the bounds, x then y, and redrawn
     while it lies closer than ``min_start_distance`` to the start, inside an
@@ -387,19 +422,25 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class SeedFailure:
+class SeedFailure(Value):
     """A seed whose world could not be materialized; the batch continues."""
 
-    seed: int
-    error: str
+    __slots__ = _fields = ("seed", "error")
+
+    def __init__(self, seed: int, error: str) -> None:
+        _set(self, "seed", seed)
+        _set(self, "error", error)
 
 
-@dataclass(frozen=True, slots=True)
-class BatchResult:
-    records: tuple[RunRecord, ...]
-    failures: tuple[SeedFailure, ...]
-    summary: dict
+class BatchResult(Value):
+    __slots__ = _fields = ("records", "failures", "summary")
+
+    def __init__(
+        self, records: tuple[RunRecord, ...], failures: tuple[SeedFailure, ...], summary: dict
+    ) -> None:
+        _set(self, "records", records)
+        _set(self, "failures", failures)
+        _set(self, "summary", summary)
 
 
 def _percentile(ordered: list[int], q: int) -> float:
@@ -453,7 +494,7 @@ def run_batch(config_template: ExperimentConfig, seeds: Sequence[int]) -> BatchR
     failures: list[SeedFailure] = []
     for seed in seeds:
         try:
-            records.append(run_episode(replace(config_template, seed=seed)))
+            records.append(run_episode(config_template.replace(seed=seed)))
         except InfeasibleWorldError as exc:
             failures.append(SeedFailure(seed=seed, error=str(exc)))
     return BatchResult(

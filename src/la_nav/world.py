@@ -10,7 +10,8 @@ or leave the workspace are rejected wholesale: the robot stays put.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+
+from ._value import Value, _set
 
 GOAL_TOLERANCE_CM = 2.0
 DEFAULT_MIN_START_DISTANCE_CM = 20.0
@@ -36,18 +37,16 @@ def _point(point: tuple[float, float], what: str) -> tuple[float, float]:
     return _finite(point[0], what), _finite(point[1], what)
 
 
-@dataclass(frozen=True, slots=True)
-class Bounds:
+class Bounds(Value):
     """Axis-aligned workspace rectangle in cm; membership is boundary-inclusive."""
 
-    x_min: float = -100.0
-    y_min: float = -100.0
-    x_max: float = 100.0
-    y_max: float = 100.0
+    __slots__ = _fields = ("x_min", "y_min", "x_max", "y_max")
 
-    def __post_init__(self) -> None:
-        for name in ("x_min", "y_min", "x_max", "y_max"):
-            object.__setattr__(self, name, _finite(getattr(self, name), f"bounds {name}"))
+    def __init__(
+        self, x_min: float = -100.0, y_min: float = -100.0, x_max: float = 100.0, y_max: float = 100.0
+    ) -> None:
+        for name, value in zip(self._fields, (x_min, y_min, x_max, y_max)):
+            _set(self, name, _finite(value, f"bounds {name}"))
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate bounds {self!r}")
 
@@ -58,18 +57,17 @@ class Bounds:
         return {"min": [self.x_min, self.y_min], "max": [self.x_max, self.y_max]}
 
 
-@dataclass(frozen=True, slots=True)
-class CircleObstacle:
+class CircleObstacle(Value):
     """Solid disc; points strictly inside the radius are blocked."""
 
-    center: tuple[float, float]
-    radius: float
+    __slots__ = _fields = ("center", "radius")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", _finite(self.radius, "circle radius"))
-        if not self.radius > 0:
-            raise ValueError(f"circle radius must be positive, got {self.radius!r}")
-        object.__setattr__(self, "center", _point(self.center, "circle center"))
+    def __init__(self, center: tuple[float, float], radius: float) -> None:
+        radius = _finite(radius, "circle radius")
+        if not radius > 0:
+            raise ValueError(f"circle radius must be positive, got {radius!r}")
+        _set(self, "center", _point(center, "circle center"))
+        _set(self, "radius", radius)
 
     def contains(self, x: float, y: float) -> bool:
         dx = x - self.center[0]
@@ -102,16 +100,14 @@ class CircleObstacle:
         return {"shape": "circle", "center": list(self.center), "radius": self.radius}
 
 
-@dataclass(frozen=True, slots=True)
-class RectObstacle:
+class RectObstacle(Value):
     """Solid axis-aligned box; points strictly inside are blocked."""
 
-    min_corner: tuple[float, float]
-    max_corner: tuple[float, float]
+    __slots__ = _fields = ("min_corner", "max_corner")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "min_corner", _point(self.min_corner, "rectangle min corner"))
-        object.__setattr__(self, "max_corner", _point(self.max_corner, "rectangle max corner"))
+    def __init__(self, min_corner: tuple[float, float], max_corner: tuple[float, float]) -> None:
+        _set(self, "min_corner", _point(min_corner, "rectangle min corner"))
+        _set(self, "max_corner", _point(max_corner, "rectangle max corner"))
         if not (self.min_corner[0] < self.max_corner[0] and self.min_corner[1] < self.max_corner[1]):
             raise ValueError(f"degenerate rectangle {self!r}")
 
@@ -147,27 +143,33 @@ class RectObstacle:
 Obstacle = CircleObstacle | RectObstacle
 
 
-@dataclass(frozen=True, slots=True)
-class World:
+class World(Value):
     """Immutable workspace: goal point, tolerance, obstacles, bounds."""
 
-    goal: tuple[float, float]
-    goal_tolerance: float = GOAL_TOLERANCE_CM
-    obstacles: tuple[Obstacle, ...] = ()
-    bounds: Bounds = field(default_factory=Bounds)
+    __slots__ = _fields = ("goal", "goal_tolerance", "obstacles", "bounds")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "goal", _point(self.goal, "goal"))
-        object.__setattr__(self, "goal_tolerance", _finite(self.goal_tolerance, "goal tolerance"))
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
-        if not self.goal_tolerance > 0:
-            raise ValueError(f"goal tolerance must be positive, got {self.goal_tolerance!r}")
-        gx, gy = self.goal
-        if not self.bounds.contains(gx, gy):
-            raise ValueError(f"goal {self.goal} outside bounds {self.bounds!r}")
-        for obs in self.obstacles:
+    def __init__(
+        self,
+        goal: tuple[float, float],
+        goal_tolerance: float = GOAL_TOLERANCE_CM,
+        obstacles: tuple[Obstacle, ...] = (),
+        bounds: Bounds = Bounds(),
+    ) -> None:
+        goal = _point(goal, "goal")
+        goal_tolerance = _finite(goal_tolerance, "goal tolerance")
+        obstacles = tuple(obstacles)
+        if not goal_tolerance > 0:
+            raise ValueError(f"goal tolerance must be positive, got {goal_tolerance!r}")
+        gx, gy = goal
+        if not bounds.contains(gx, gy):
+            raise ValueError(f"goal {goal} outside bounds {bounds!r}")
+        for obs in obstacles:
             if obs.contains(gx, gy):
-                raise ValueError(f"goal {self.goal} lies inside obstacle {obs!r}")
+                raise ValueError(f"goal {goal} lies inside obstacle {obs!r}")
+        _set(self, "goal", goal)
+        _set(self, "goal_tolerance", goal_tolerance)
+        _set(self, "obstacles", obstacles)
+        _set(self, "bounds", bounds)
 
     def to_dict(self) -> dict:
         return {

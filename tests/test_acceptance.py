@@ -7,7 +7,6 @@ use the fixed seed range 1..100 and are fully deterministic.
 
 import math
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -173,7 +172,7 @@ def test_criterion_3_selection_fidelity():
 def test_criterion_4_kinematic_closure():
     params = RobotParams()
     circle_T = 2 * math.pi * params.axle_length / (params.wheel_radius * params.wheel_speed)
-    circle_move = move_table(replace(params, action_duration=circle_T))[Action.RIGHT_FORWARD - 1]
+    circle_move = move_table(params.replace(action_duration=circle_T))[Action.RIGHT_FORWARD - 1]
     end_x, end_y, _ = integrate_action(0.0, 0.0, 0.0, circle_move)
     closure = math.hypot(end_x, end_y)
     assert closure < 1e-4
@@ -217,8 +216,8 @@ def test_criterion_6_one_sided_schemes_are_slower(preset1_batch):
     report(
         6,
         "ordinal difficulty",
-        f"medians: both-sides {median_1:.0f} < reward-only {medians[2]:.0f}, "
-        f"< penalty-only {medians[3]:.0f}",
+        f"medians: both-sides {median_1:g} < reward-only {medians[2]:g}, "
+        f"< penalty-only {medians[3]:g}",
     )
 
 
@@ -242,7 +241,7 @@ def test_criterion_7_obstacle_avoidance(preset1_batch):
     report(
         7,
         "obstacle avoidance",
-        f"{successes}/100 goals, 0 obstacle entries, median {median_4:.0f} >= {median_1:.0f}",
+        f"{successes}/100 goals, 0 obstacle entries, median {median_4:g} >= {median_1:g}",
     )
 
 

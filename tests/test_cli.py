@@ -712,3 +712,21 @@ class TestWithoutNumpy:
         assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
         for name in files:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+class TestStartupImports:
+    def test_startup_loads_no_dataclasses_inspect_or_hashlib(self):
+        # -S: no site .pth file preloads a module before la_nav does.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
+            "import la_nav.cli\n"
+            "la_nav.cli.main(['presets'])\n"
+            "la_nav.cli.parse_config(None, {'preset': 1, 'seed': 1})\n"
+            "print([m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

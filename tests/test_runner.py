@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -133,7 +132,7 @@ class TestEpisode:
             assert not any(o.contains(x, y) for o in record.world.obstacles)
 
     def test_max_steps_budget(self):
-        config = replace(preset_config(2, seed=1), max_steps=40)
+        config = preset_config(2, seed=1).replace(max_steps=40)
         record = run_episode(config)
         assert record.terminated is Termination.MAX_STEPS_EXCEEDED
         assert record.total_steps == 40
@@ -153,7 +152,7 @@ class TestEpisode:
 
     def test_literal_feedback_flag_flips_polarity(self):
         base = pinned_goal_config(max_steps=50)
-        literal = replace(base, feedback_literal_eq10=True)
+        literal = base.replace(feedback_literal_eq10=True)
         rec_a = run_episode(base)
         rec_b = run_episode(literal)
         # same first draw and action, opposite grading of the first step
@@ -319,7 +318,7 @@ class TestConfigValidation:
     )
     def test_rejects_negative_seed_and_empty_budget(self, kwargs, field, message):
         with pytest.raises(ConfigError) as err:
-            replace(preset_config(1, seed=0), **kwargs)
+            preset_config(1, seed=0).replace(**kwargs)
         assert str(err.value) == f"config field '{field}': {message}"
 
     @pytest.mark.parametrize(
