@@ -28,7 +28,6 @@ from .kinematics import (
     move_table,
 )
 from .runner import (
-    BatchResult,
     ExperimentConfig,
     RunRecord,
     SeedFailure,

@@ -31,10 +31,12 @@ from .runner import (
     ROBOT_KEYS,
     ExperimentConfig,
     RunRecord,
+    SeedFailure,
     WorldSpec,
     preset_config,
     run_batch,
     run_episode,
+    summarize,
 )
 from .world import Bounds, CircleObstacle, RectObstacle, distance_to_goal
 
@@ -491,30 +493,38 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     overrides = _cli_overrides(args)
     overrides.setdefault("seed", seeds[0])
     template = parse_config(args.config, overrides)
-    result = run_batch(template, seeds)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for record in result.records:
-        emit_artifacts(record, out / f"seed_{record.seed}")
+    # Each record is written out and dropped before the next seed runs.
+    steps: list[int] = []
+    successes = 0
+    failures: list[SeedFailure] = []
+    for outcome in run_batch(template, seeds):
+        if isinstance(outcome, SeedFailure):
+            failures.append(outcome)
+            continue
+        emit_artifacts(outcome, out / f"seed_{outcome.seed}")
+        steps.append(outcome.total_steps)
+        successes += outcome.success
+    summary = summarize(steps, successes, len(failures))
     template_echo = template.to_dict()
     template_echo["seed"] = None
     batch_doc = {
         "seeds": list(seeds),
         "config": template_echo,
-        "failures": [{"seed": f.seed, "error": f.error} for f in result.failures],
-        "summary": result.summary,
+        "failures": [{"seed": f.seed, "error": f.error} for f in failures],
+        "summary": summary,
     }
     _write_text(out / "batch_summary.json", json.dumps(batch_doc, sort_keys=True, indent=2) + "\n")
 
-    s = result.summary
     print(
-        f"{s['runs']} runs, {s['success_count']} reached the goal "
-        f"(rate {s['success_rate']:.2f}), median steps {s['steps']['median']}"
+        f"{summary['runs']} runs, {successes} reached the goal "
+        f"(rate {summary['success_rate']:.2f}), median steps {summary['steps']['median']}"
     )
-    for failure in result.failures:
+    for failure in failures:
         print(f"seed {failure.seed}: configuration failure: {failure.error}", file=sys.stderr)
-    return 0 if not result.failures else 1
+    return 0 if not failures else 1
 
 
 def _cmd_presets(_args: argparse.Namespace) -> int:

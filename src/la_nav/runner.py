@@ -15,7 +15,7 @@ import math
 import random
 import sys
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
 
 from ._value import Value, _set
@@ -432,17 +432,6 @@ class SeedFailure(Value):
         _set(self, "error", error)
 
 
-class BatchResult(Value):
-    __slots__ = _fields = ("records", "failures", "summary")
-
-    def __init__(
-        self, records: tuple[RunRecord, ...], failures: tuple[SeedFailure, ...], summary: dict
-    ) -> None:
-        _set(self, "records", records)
-        _set(self, "failures", failures)
-        _set(self, "summary", summary)
-
-
 def _percentile(ordered: list[int], q: int) -> float:
     """numpy's default ``linear`` percentile (Hyndman & Fan type 7) of a sorted list, bit for bit.
 
@@ -459,49 +448,47 @@ def _percentile(ordered: list[int], q: int) -> float:
     return b - (b - a) * (1 - frac) if frac >= 0.5 else a + (b - a) * frac
 
 
-def summarize(records: tuple[RunRecord, ...], failures: tuple[SeedFailure, ...] = ()) -> dict:
-    """The ``summary`` object of ``batch_summary.json``: counts and step statistics of the runs."""
-    successes = sum(1 for rec in records if rec.success)
-    steps = dict.fromkeys(("mean", "median", "p10", "p25", "p75", "p90", "min", "max"))
-    if records:
-        counts = sorted(rec.total_steps for rec in records)
-        steps = {
-            "mean": sum(counts) / len(counts),
+def summarize(steps: Sequence[int], successes: int, config_failures: int = 0) -> dict:
+    """The ``summary`` object of ``batch_summary.json``, from each run's step count,
+    the number of runs that reached the goal and the number of seeds that failed."""
+    runs = len(steps)
+    stats = dict.fromkeys(("mean", "median", "p10", "p25", "p75", "p90", "min", "max"))
+    if steps:
+        counts = sorted(steps)
+        stats = {
+            "mean": sum(counts) / runs,
             "median": _percentile(counts, 50),
             **{f"p{q}": _percentile(counts, q) for q in (10, 25, 75, 90)},
             "min": counts[0],
             "max": counts[-1],
         }
     return {
-        "runs": len(records),
-        "config_failures": len(failures),
+        "runs": runs,
+        "config_failures": config_failures,
         "success_count": successes,
-        "success_rate": successes / len(records) if records else 0.0,
-        "steps": steps,
+        "success_rate": successes / runs if runs else 0.0,
+        "steps": stats,
     }
 
 
-def run_batch(config_template: ExperimentConfig, seeds: Sequence[int]) -> BatchResult:
-    """Run one episode per seed, serially, in the seed list's order.
+def run_batch(
+    config_template: ExperimentConfig, seeds: Sequence[int]
+) -> Iterator[RunRecord | SeedFailure]:
+    """Run one episode per seed, serially, and yield each outcome in the seed list's order.
 
     Each episode owns its generator, so a seed's run does not depend on
-    the other seeds in the list. Seeds whose world cannot be built become
-    :class:`SeedFailure` entries instead of aborting the batch.
+    the other seeds in the list. A seed whose world cannot be built yields
+    a :class:`SeedFailure` instead of aborting the batch. Nothing is kept
+    between seeds: a record is dropped once the caller lets go of it.
+    An empty seed list raises ``ValueError`` at the first ``next()``.
     """
     if not seeds:
         raise ValueError("seed list must not be empty")
-    records: list[RunRecord] = []
-    failures: list[SeedFailure] = []
     for seed in seeds:
         try:
-            records.append(run_episode(config_template.replace(seed=seed)))
+            yield run_episode(config_template.replace(seed=seed))
         except InfeasibleWorldError as exc:
-            failures.append(SeedFailure(seed=seed, error=str(exc)))
-    return BatchResult(
-        records=tuple(records),
-        failures=tuple(failures),
-        summary=summarize(tuple(records), tuple(failures)),
-    )
+            yield SeedFailure(seed=seed, error=str(exc))
 
 
 # Built-in experiments: id -> (scheme, derived two-disc layout, description).

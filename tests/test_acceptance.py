@@ -16,6 +16,7 @@ from la_nav import (
     Action,
     ProbabilityVector,
     RobotParams,
+    RunRecord,
     init_uniform,
     integrate_action,
     move_table,
@@ -86,9 +87,9 @@ def random_vector(rng, r):
 @pytest.fixture(scope="module")
 def preset1_batch():
     start = time.perf_counter()
-    result = run_batch(preset_config(1, seed=0), SEEDS)
+    outcomes = list(run_batch(preset_config(1, seed=0), SEEDS))
     wall = time.perf_counter() - start
-    return result, wall
+    return outcomes, wall
 
 
 def test_criterion_1_update_rules_match_brute_force_oracle():
@@ -186,21 +187,21 @@ def test_criterion_4_kinematic_closure():
 
 
 def test_criterion_5_reward_penalty_preset_converges(preset1_batch):
-    result, wall = preset1_batch
-    assert not result.failures
-    for record in result.records:
+    records, wall = preset1_batch
+    assert [type(r) for r in records] == [RunRecord] * len(SEEDS)
+    for record in records:
         assert math.hypot(*record.world.goal) >= 20.0
         assert record.config.max_steps == 5000
-    successes = result.summary["success_count"]
+    successes = sum(r.success for r in records)
     assert successes >= 90
     assert wall < 60.0
     report(5, "reward-penalty convergence", f"{successes}/100 goals, wall {wall:.1f}s")
 
 
 def test_criterion_6_one_sided_schemes_are_slower(preset1_batch):
-    result, _ = preset1_batch
-    median_1 = float(np.median([r.total_steps for r in result.records]))
-    goals_1 = {r.seed: r.world.goal for r in result.records}
+    records, _ = preset1_batch
+    median_1 = float(np.median([r.total_steps for r in records]))
+    goals_1 = {r.seed: r.world.goal for r in records}
 
     medians = {}
     for preset in (2, 3):
@@ -222,8 +223,8 @@ def test_criterion_6_one_sided_schemes_are_slower(preset1_batch):
 
 
 def test_criterion_7_obstacle_avoidance(preset1_batch):
-    result, _ = preset1_batch
-    median_1 = float(np.median([r.total_steps for r in result.records]))
+    records, _ = preset1_batch
+    median_1 = float(np.median([r.total_steps for r in records]))
 
     counts = []
     successes = 0

@@ -21,6 +21,7 @@ from la_nav import (
     preset_config,
     run_batch,
     run_episode,
+    summarize,
 )
 from la_nav.cli import build_svg, emit_artifacts, main, parse_config
 
@@ -468,7 +469,54 @@ class TestMain:
         out = tmp_path / "batch"
         assert main(["batch", "--preset", "3", "--seeds", "2..4", "--out", str(out)]) == 0
         doc = json.loads((out / "batch_summary.json").read_text())
-        assert run_batch(preset_config(3, seed=0), range(2, 5)).summary == doc["summary"]
+        records = list(run_batch(preset_config(3, seed=0), range(2, 5)))
+        summary = summarize([r.total_steps for r in records], sum(r.success for r in records))
+        assert summary == doc["summary"]
+
+    def test_batch_writes_each_seed_before_running_the_next(self, tmp_path, monkeypatch):
+        out = tmp_path / "batch"
+        started = []
+
+        def checking_run_episode(config):
+            if started:
+                assert (out / f"seed_{started[-1]}" / "summary.json").exists()
+            started.append(config.seed)
+            return run_episode(config)
+
+        monkeypatch.setattr("la_nav.runner.run_episode", checking_run_episode)
+        assert main(["batch", "--preset", "1", "--seeds", "1..3", "--out", str(out)]) == 0
+        assert started == [1, 2, 3]
+
+    def test_batch_with_some_failed_seeds(self, tmp_path, capsys):
+        # Goals fall only in the sliver above the box; seeds 5 and 6 never draw one.
+        path = write_config(
+            tmp_path,
+            {
+                "scheme": {"kind": "lrp", "a": 0.7},
+                "max_steps": 5,
+                "world": {
+                    "bounds": {"min": [0, -1], "max": [1, 1]},
+                    "obstacles": [{"shape": "rect", "min": [0, -1], "max": [1, 0.99986]}],
+                    "random_goal": {"min_start_distance": 0},
+                },
+            },
+        )
+        out = tmp_path / "batch"
+        code = main(["batch", "--config", str(path), "--seeds", "1..8", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "6 runs, 6 reached the goal (rate 1.00), median steps 0.0\n"
+        lines = captured.err.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("seed 5: configuration failure: no feasible goal")
+        assert lines[1].startswith("seed 6: configuration failure: no feasible goal")
+        doc = json.loads((out / "batch_summary.json").read_text())
+        assert [f["seed"] for f in doc["failures"]] == [5, 6]
+        assert [f"seed {f['seed']}: configuration failure: {f['error']}" for f in doc["failures"]] == lines
+        assert doc["summary"]["runs"] == 6
+        assert doc["summary"]["config_failures"] == 2
+        dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert dirs == [f"seed_{k}" for k in (1, 2, 3, 4, 7, 8)]
 
     def test_presets_verb(self, capsys):
         assert main(["presets"]) == 0
@@ -712,6 +760,29 @@ class TestWithoutNumpy:
         assert files == sorted(p.relative_to(out) for p in out.rglob("*") if p.is_file())
         for name in files:
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+class TestBatchMemory:
+    def test_peak_memory_does_not_grow_with_the_seed_range(self, tmp_path):
+        # Each seed of preset 2 runs 5000 steps; a batch that kept every
+        # record would grow by about 0.4 MB per seed. The child reads VmHWM,
+        # the peak of its own address space: Linux carries the forking
+        # process's peak over into a child's ru_maxrss, which would hide
+        # the child's own behind this test process's.
+        code = (
+            "import sys\n"
+            "from la_nav.cli import main\n"
+            "main(['batch', '--preset', '2', '--seeds', sys.argv[1], '--out', sys.argv[2]])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(status.split('VmHWM:')[1].split()[0])\n"
+        )
+        peaks = []
+        for seeds in ("1..4", "1..24"):
+            proc = _python(code, seeds, str(tmp_path / seeds))
+            assert proc.returncode == 0, proc.stderr
+            peaks.append(int(proc.stdout.splitlines()[-1]))
+        assert peaks[1] - peaks[0] < 3 * 1024, peaks  # kB
 
 
 class TestStartupImports:

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +18,9 @@ from la_nav import (
     LearningScheme,
     RectObstacle,
     RobotParams,
+    RunRecord,
     SchemeKind,
+    SeedFailure,
     Termination,
     WorldSpec,
     build_world,
@@ -357,22 +358,44 @@ class TestWorldSpecValidation:
         assert err.value.field == "world.bounds"
 
 
+def _batch_summary(outcomes):
+    """The summary that ``la-nav batch`` builds from a batch's outcomes."""
+    records = [o for o in outcomes if isinstance(o, RunRecord)]
+    return summarize(
+        [r.total_steps for r in records], sum(r.success for r in records), len(outcomes) - len(records)
+    )
+
+
 class TestBatch:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ValueError):
-            run_batch(preset_config(1, seed=0), [])
+            list(run_batch(preset_config(1, seed=0), []))
 
     def test_order_stable_by_seed_list(self):
-        result = run_batch(preset_config(1, seed=0), [5, 1, 3])
-        assert [r.seed for r in result.records] == [5, 1, 3]
+        outcomes = list(run_batch(preset_config(1, seed=0), [5, 1, 3]))
+        assert [type(o) for o in outcomes] == [RunRecord] * 3
+        assert [r.seed for r in outcomes] == [5, 1, 3]
+
+    def test_yields_each_seed_before_running_the_next(self, monkeypatch):
+        calls = []
+
+        def counting_run_episode(config):
+            calls.append(config.seed)
+            return run_episode(config)
+
+        monkeypatch.setattr("la_nav.runner.run_episode", counting_run_episode)
+        first = next(run_batch(preset_config(1, seed=0), [1, 2, 3]))
+        assert calls == [1]
+        assert first.seed == 1
 
     def test_infeasible_seed_recorded_not_raised(self):
         template = ExperimentConfig(scheme=LearningScheme.lrp(0.7), seed=0, world=COVERED_BOUNDS)
-        result = run_batch(template, [1, 2])
-        assert result.records == ()
-        assert [f.seed for f in result.failures] == [1, 2]
-        assert result.summary["config_failures"] == 2
-        assert result.summary["runs"] == 0
+        outcomes = list(run_batch(template, [1, 2]))
+        assert [type(o) for o in outcomes] == [SeedFailure] * 2
+        assert [f.seed for f in outcomes] == [1, 2]
+        summary = _batch_summary(outcomes)
+        assert summary["config_failures"] == 2
+        assert summary["runs"] == 0
         # A random goal that no point of the bounds allows is not a per-seed failure either.
         with pytest.raises(ConfigError):
             WorldSpec(bounds=Bounds(-1, -1, 1, 1), min_start_distance=5.0)
@@ -385,11 +408,11 @@ class TestBatch:
             )
 
     def test_summary_statistics(self):
-        result = run_batch(preset_config(1, seed=0), list(range(1, 11)))
-        counts = sorted(r.total_steps for r in result.records)
-        s = result.summary
+        records = list(run_batch(preset_config(1, seed=0), list(range(1, 11))))
+        counts = sorted(r.total_steps for r in records)
+        s = _batch_summary(records)
         assert s["runs"] == 10
-        assert s["success_count"] == sum(r.success for r in result.records)
+        assert s["success_count"] == sum(r.success for r in records)
         assert s["steps"]["min"] == counts[0]
         assert s["steps"]["max"] == counts[-1]
         values = np.array(counts, dtype=float)
@@ -400,8 +423,7 @@ class TestBatch:
         assert 0.0 <= s["success_rate"] <= 1.0
 
     def test_summary_serialization(self):
-        result = run_batch(preset_config(1, seed=0), [1, 2])
-        doc = result.summary
+        doc = _batch_summary(list(run_batch(preset_config(1, seed=0), [1, 2])))
         assert set(doc) == {"runs", "config_failures", "success_count", "success_rate", "steps"}
         assert set(doc["steps"]) == {"mean", "median", "p10", "p25", "p75", "p90", "min", "max"}
 
@@ -415,12 +437,8 @@ class TestBatch:
             return move_table(params)
 
         monkeypatch.setattr("la_nav.runner.move_table", counting_move_table)
-        run_batch(template, [1, 2, 3])
+        list(run_batch(template, [1, 2, 3]))
         assert len(calls) == 3
-
-
-def _records(counts):
-    return tuple(SimpleNamespace(total_steps=n, success=n < 5000) for n in counts)
 
 
 class TestSummarizeMatchesNumpy:
@@ -431,7 +449,7 @@ class TestSummarizeMatchesNumpy:
     @example([5000, 1, 17, 17])
     @example(list(range(1, 401)))
     def test_step_statistics(self, counts):
-        steps = summarize(_records(counts))["steps"]
+        steps = summarize(counts, sum(n < 5000 for n in counts))["steps"]
         values = np.array(counts, dtype=float)
         p10, p25, p75, p90 = np.percentile(values, [10, 25, 75, 90])
         expected = {
@@ -448,7 +466,7 @@ class TestSummarizeMatchesNumpy:
         assert [type(v) for v in steps.values()] == [type(v) for v in expected.values()]
 
     def test_no_records(self):
-        steps = summarize(())["steps"]
+        steps = summarize([], 0)["steps"]
         assert list(steps) == ["mean", "median", "p10", "p25", "p75", "p90", "min", "max"]
         assert set(steps.values()) == {None}
 

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from la_nav import (
-    BatchResult,
     Bounds,
     CircleObstacle,
     ConfigError,
@@ -107,10 +106,6 @@ REPRS = [
         "SeedFailure(seed=3, error='no feasible goal')",
     ),
     (
-        lambda: BatchResult(records=(), failures=(SeedFailure(3, "boom"),), summary={"runs": 0}),
-        "BatchResult(records=(), failures=(SeedFailure(seed=3, error='boom'),), summary={'runs': 0})",
-    ),
-    (
         lambda: RunArtifacts(
             Path("a/trajectory.csv"), Path("a/probs.csv"), Path("a/summary.json"), Path("a/plot.svg")
         ),
@@ -142,8 +137,8 @@ def test_equal_instances_compare_equal_and_assignment_raises(build):
 
 @pytest.mark.parametrize(
     "build",
-    [build for build, text in REPRS if not text.startswith(("RunRecord", "BatchResult"))],
-    ids=[name for name in REPR_IDS if name not in ("RunRecord", "BatchResult")],
+    [build for build, text in REPRS if not text.startswith("RunRecord")],
+    ids=[name for name in REPR_IDS if name != "RunRecord"],
 )
 def test_equal_instances_hash_equal(build):
     assert hash(build()) == hash(build())
