@@ -10,6 +10,9 @@ Verbs:
 
 Identical invocations (flags + config + seed) produce byte-identical CSV
 and JSON outputs; floats are written with shortest round-trip formatting.
+The CSVs and the SVG are written as they are formatted, a fixed number of
+rows or points per write, so a run's memory is its ``RunRecord`` plus a
+constant however long the episode.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ import json
 import math
 import os
 import sys
-from itertools import count
+from collections.abc import Iterable, Iterator
+from itertools import count, islice
 from pathlib import Path
 
 from ._value import Value, _set
@@ -297,34 +301,47 @@ def parse_config(
 # ---------------------------------------------------------------------------
 # artifact emission
 
-def _write_text(path: Path, text: str) -> None:
+# At most this many pieces (rows, SVG elements or polyline points) go to one
+# write call, so no file is ever held whole in memory.
+_WRITE_CHUNK = 256
+
+
+def _write_text(path: Path, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to ``path`` as they are made, ``_WRITE_CHUNK`` per write.
+
+    Pass a one-element tuple for a file made as one string: a bare ``str``
+    would be written one character per piece.
+    """
+    pieces = iter(pieces)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        while chunk := list(islice(pieces, _WRITE_CHUNK)):
+            fh.write("".join(chunk))
 
 
-# The CSV writers format floats with repr: the shortest decimal string that
-# round-trips to the same float. Every value they format is a Python float.
+# The CSV writers yield the header, then one row per step, each ending in a
+# newline; _write_text writes them as they come. They format floats with
+# repr: the shortest decimal string that round-trips to the same float.
+# Every value they format is a Python float.
 # A row whose values cannot have changed reuses the previous row's text: a
 # blocked move keeps the pose (and so its goal distance) bit for bit, and an
 # update at rate 0 returns the probabilities unchanged. Row 1 is always
 # formatted, since the start it would repeat is not a row.
-def _trajectory_csv(record: RunRecord) -> str:
-    lines = ["n,x,y,theta,action,flag,d,blocked"]
+def _trajectory_csv(record: RunRecord) -> Iterator[str]:
+    yield "n,x,y,theta,action,flag,d,blocked\n"
     rows = zip(record.x, record.y, record.theta, record.action, record.flag, record.d, record.blocked)
     for n, (x, y, theta, action, flag, d, blocked) in enumerate(rows, start=1):
         if not blocked or n == 1:
             pose = f"{x!r},{y!r},{theta!r}"
             dist = repr(d)
-        lines.append(f"{n},{pose},{action},{flag},{dist},{blocked}")
-    return "\n".join(lines) + "\n"
+        yield f"{n},{pose},{action},{flag},{dist},{blocked}\n"
 
 
-def _probs_csv(record: RunRecord) -> str:
+def _probs_csv(record: RunRecord) -> Iterator[str]:
     r = ACTION_COUNT
     probs = record.probs
     # The rate each step's update applied, indexed by its feedback flag.
     rates = (record.config.scheme.reward_rate, record.config.scheme.penalty_rate)
-    lines = ["n," + ",".join(f"p{i}" for i in range(1, r + 1))]
+    yield "n," + ",".join(f"p{i}" for i in range(1, r + 1)) + "\n"
     prev = -r  # where the previous row starts
     for n, action, flag in zip(count(1), record.action, record.flag):
         i = prev + r
@@ -337,9 +354,8 @@ def _probs_csv(record: RunRecord) -> str:
             probs[prev + action - 1] == 1.0 and probs[i : i + r] == probs[prev:i]
         ):
             row = ",".join(map(repr, probs[i : i + r]))
-        lines.append(f"{n},{row}")
+        yield f"{n},{row}\n"
         prev = i
-    return "\n".join(lines) + "\n"
 
 
 def _summary_dict(record: RunRecord) -> dict:
@@ -362,8 +378,8 @@ def _svg_coord(v: float) -> str:
     return format(v, ".6g")
 
 
-def build_svg(record: RunRecord) -> str:
-    """Static trajectory plot: polyline, start marker, goal disc, obstacles.
+def _svg(record: RunRecord) -> Iterator[str]:
+    """Yield the text of ``plot.svg`` one element, or one polyline point, at a time.
 
     World y points up; SVG y points down, so y is negated in place and the
     viewBox covers the mirrored bounds.
@@ -376,53 +392,59 @@ def build_svg(record: RunRecord) -> str:
     px_w = 640
     px_h = int(round(px_w * height / width))
 
-    parts = [
+    yield (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{px_w}" height="{px_h}" '
-        f'viewBox="{_svg_coord(x0)} {_svg_coord(y0)} {_svg_coord(width)} {_svg_coord(height)}">',
+        f'viewBox="{_svg_coord(x0)} {_svg_coord(y0)} {_svg_coord(width)} {_svg_coord(height)}">\n'
+    )
+    yield (
         f'<rect class="workspace" x="{_svg_coord(b.x_min)}" y="{_svg_coord(-b.y_max)}" '
         f'width="{_svg_coord(b.x_max - b.x_min)}" height="{_svg_coord(b.y_max - b.y_min)}" '
-        f'fill="white" stroke="black" stroke-width="0.4"/>',
-    ]
+        f'fill="white" stroke="black" stroke-width="0.4"/>\n'
+    )
     for obs in record.world.obstacles:
         if isinstance(obs, CircleObstacle):
-            parts.append(
+            yield (
                 f'<circle class="obstacle" cx="{_svg_coord(obs.center[0])}" '
                 f'cy="{_svg_coord(-obs.center[1])}" r="{_svg_coord(obs.radius)}" '
-                f'fill="#d0d0d0" stroke="#606060" stroke-width="0.4"/>'
+                f'fill="#d0d0d0" stroke="#606060" stroke-width="0.4"/>\n'
             )
         else:
             w = obs.max_corner[0] - obs.min_corner[0]
             h = obs.max_corner[1] - obs.min_corner[1]
-            parts.append(
+            yield (
                 f'<rect class="obstacle" x="{_svg_coord(obs.min_corner[0])}" '
                 f'y="{_svg_coord(-obs.max_corner[1])}" width="{_svg_coord(w)}" '
-                f'height="{_svg_coord(h)}" fill="#d0d0d0" stroke="#606060" stroke-width="0.4"/>'
+                f'height="{_svg_coord(h)}" fill="#d0d0d0" stroke="#606060" stroke-width="0.4"/>\n'
             )
     gx, gy = record.world.goal
-    parts.append(
+    yield (
         f'<circle class="goal" cx="{_svg_coord(gx)}" cy="{_svg_coord(-gy)}" '
-        f'r="{_svg_coord(record.world.goal_tolerance)}" fill="none" stroke="#2a7e2a" stroke-width="0.5"/>'
+        f'r="{_svg_coord(record.world.goal_tolerance)}" fill="none" stroke="#2a7e2a" stroke-width="0.5"/>\n'
     )
-    parts.append(
+    yield (
         f'<circle class="goal-center" cx="{_svg_coord(gx)}" cy="{_svg_coord(-gy)}" '
-        f'r="0.6" fill="#2a7e2a"/>'
+        f'r="0.6" fill="#2a7e2a"/>\n'
     )
     if record.total_steps:
         # A blocked move repeats the previous point's text, as in the CSVs. The
         # first point is always formatted: the start "0,0" drops the sign of -0.0.
-        points = ["0,0"]
+        yield '<polyline class="trajectory" points="0,0'
         point = None
         for x, y, blocked in zip(record.x, record.y, record.blocked):
             if not blocked or point is None:
-                point = f"{_svg_coord(x)},{_svg_coord(-y)}"
-            points.append(point)
-        parts.append(
-            f'<polyline class="trajectory" points="{" ".join(points)}" '
-            f'fill="none" stroke="#1f4fa0" stroke-width="0.5"/>'
-        )
-    parts.append('<rect class="start" x="-1" y="-1" width="2" height="2" fill="#b03030"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+                point = f" {_svg_coord(x)},{_svg_coord(-y)}"
+            yield point
+        yield '" fill="none" stroke="#1f4fa0" stroke-width="0.5"/>\n'
+    yield '<rect class="start" x="-1" y="-1" width="2" height="2" fill="#b03030"/>\n'
+    yield "</svg>\n"
+
+
+def build_svg(record: RunRecord) -> str:
+    """Static trajectory plot: polyline, start marker, goal disc, obstacles.
+
+    The same text that :func:`emit_artifacts` writes to ``plot.svg``.
+    """
+    return "".join(_svg(record))
 
 
 def emit_artifacts(record: RunRecord, out_dir: str | Path) -> RunArtifacts:
@@ -437,10 +459,9 @@ def emit_artifacts(record: RunRecord, out_dir: str | Path) -> RunArtifacts:
     )
     _write_text(artifacts.trajectory_csv, _trajectory_csv(record))
     _write_text(artifacts.probs_csv, _probs_csv(record))
-    _write_text(
-        artifacts.summary_json, json.dumps(_summary_dict(record), sort_keys=True, indent=2) + "\n"
-    )
-    _write_text(artifacts.plot_svg, build_svg(record))
+    summary = json.dumps(_summary_dict(record), sort_keys=True, indent=2) + "\n"
+    _write_text(artifacts.summary_json, (summary,))
+    _write_text(artifacts.plot_svg, _svg(record))
     return artifacts
 
 
@@ -503,10 +524,13 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for outcome in run_batch(template, seeds):
         if isinstance(outcome, SeedFailure):
             failures.append(outcome)
-            continue
-        emit_artifacts(outcome, out / f"seed_{outcome.seed}")
-        steps.append(outcome.total_steps)
-        successes += outcome.success
+        else:
+            emit_artifacts(outcome, out / f"seed_{outcome.seed}")
+            steps.append(outcome.total_steps)
+            successes += outcome.success
+        # Drop the record now: the loop variable would keep it alive through
+        # the next seed's episode.
+        del outcome
     summary = summarize(steps, successes, len(failures))
     template_echo = template.to_dict()
     template_echo["seed"] = None
@@ -516,7 +540,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         "failures": [{"seed": f.seed, "error": f.error} for f in failures],
         "summary": summary,
     }
-    _write_text(out / "batch_summary.json", json.dumps(batch_doc, sort_keys=True, indent=2) + "\n")
+    batch_json = json.dumps(batch_doc, sort_keys=True, indent=2) + "\n"
+    _write_text(out / "batch_summary.json", (batch_json,))
 
     print(
         f"{summary['runs']} runs, {successes} reached the goal "

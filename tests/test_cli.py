@@ -1,6 +1,7 @@
 """CLI tests: config parsing, artifact emission, end-to-end verbs."""
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -23,7 +24,8 @@ from la_nav import (
     run_episode,
     summarize,
 )
-from la_nav.cli import build_svg, emit_artifacts, main, parse_config
+from la_nav.cli import _WRITE_CHUNK, build_svg, emit_artifacts, main, parse_config
+from la_nav.runner import RunRecord
 
 from conftest import first_move_blocked_config, zero_reward_general_config
 
@@ -229,6 +231,12 @@ def short_record():
 # Records that take every path of the CSV writers: a fresh row, a repeated
 # pose (blocked move) and repeated probabilities (update at rate 0), also on
 # row 1. Preset 2 seed 2 pushes into a wall, so nearly all its rows repeat.
+# The chunk-edge records run their whole budget, so their CSVs (a header and
+# one row per step) fill exactly one write chunk, or spill one or two rows
+# into a second.
+CHUNK_EDGE_STEPS = {
+    f"chunk{offset:+d}": _WRITE_CHUNK + offset for offset in (-1, 0, 1)
+}
 ROUND_TRIP_CONFIGS = {
     "preset1": preset_config(1, seed=42),
     "preset2": preset_config(2, seed=2),
@@ -236,6 +244,10 @@ ROUND_TRIP_CONFIGS = {
     "preset4": preset_config(4, seed=1),
     "first-move-blocked": first_move_blocked_config(),
     "zero-reward-general": zero_reward_general_config(),
+    **{
+        name: preset_config(2, seed=1).replace(max_steps=steps)
+        for name, steps in CHUNK_EDGE_STEPS.items()
+    },
 }
 
 
@@ -270,6 +282,15 @@ class TestArtifacts:
         assert len(rows) == round_trip_record.total_steps
         cells = [row[f"p{i}"] for row in rows for i in range(1, 7)]
         assert _bits(cells) == _bits(round_trip_record.probs)
+
+    def test_round_trip_plot_is_build_svg(self, round_trip_record, tmp_path):
+        artifacts = emit_artifacts(round_trip_record, tmp_path)
+        assert artifacts.plot_svg.read_text() == build_svg(round_trip_record)
+
+    @pytest.mark.parametrize("name", sorted(CHUNK_EDGE_STEPS))
+    def test_chunk_edge_records_run_their_whole_budget(self, name):
+        record = run_episode(ROUND_TRIP_CONFIGS[name])
+        assert record.total_steps == CHUNK_EDGE_STEPS[name]
 
     def test_round_trip_records_repeat_row_one(self):
         # Row 1 has no previous row to reuse; these records repeat the start there.
@@ -310,6 +331,7 @@ class TestArtifacts:
         assert artifacts.trajectory_csv.read_text() == "n,x,y,theta,action,flag,d,blocked\n"
         assert artifacts.probs_csv.read_text() == "n,p1,p2,p3,p4,p5,p6\n"
         svg = artifacts.plot_svg.read_text()
+        assert svg == build_svg(record)
         assert "polyline" not in svg
         assert 'class="goal"' in svg
         assert 'class="start"' in svg
@@ -413,12 +435,14 @@ class TestGoldenArtifacts:
     @pytest.mark.parametrize("preset_seed", sorted(GOLDEN_ARTIFACTS))
     def test_artifact_bytes_are_pinned(self, preset_seed, tmp_path):
         preset, seed = preset_seed
-        artifacts = emit_artifacts(run_episode(preset_config(preset, seed=seed)), tmp_path)
+        record = run_episode(preset_config(preset, seed=seed))
+        artifacts = emit_artifacts(record, tmp_path)
         observed = tuple(
             hashlib.sha256(getattr(artifacts, name).read_bytes()).hexdigest()
             for name in ARTIFACT_NAMES
         )
         assert observed == GOLDEN_ARTIFACTS[preset_seed]
+        assert artifacts.plot_svg.read_text() == build_svg(record)
 
 
 class TestMain:
@@ -486,6 +510,25 @@ class TestMain:
         monkeypatch.setattr("la_nav.runner.run_episode", checking_run_episode)
         assert main(["batch", "--preset", "1", "--seeds", "1..3", "--out", str(out)]) == 0
         assert started == [1, 2, 3]
+
+    def test_batch_drops_each_record_before_the_next_episode(self, tmp_path, monkeypatch):
+        # Counted relative to the records that exist before the batch starts
+        # (module fixtures hold some).
+        def live_records():
+            gc.collect()
+            return sum(isinstance(o, RunRecord) for o in gc.get_objects())
+
+        baseline = live_records()
+        live = []
+
+        def counting_run_episode(config):
+            live.append(live_records() - baseline)
+            return run_episode(config)
+
+        monkeypatch.setattr("la_nav.runner.run_episode", counting_run_episode)
+        argv = ["batch", "--preset", "2", "--seeds", "1..3", "--max-steps", "50"]
+        assert main([*argv, "--out", str(tmp_path / "batch")]) == 0
+        assert live == [0, 0, 0]
 
     def test_batch_with_some_failed_seeds(self, tmp_path, capsys):
         # Goals fall only in the sliver above the box; seeds 5 and 6 never draw one.
@@ -783,6 +826,28 @@ class TestBatchMemory:
             assert proc.returncode == 0, proc.stderr
             peaks.append(int(proc.stdout.splitlines()[-1]))
         assert peaks[1] - peaks[0] < 3 * 1024, peaks  # kB
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
+class TestEmissionMemory:
+    def test_peak_memory_grows_only_by_the_record_with_episode_length(self, tmp_path):
+        # Preset 2 runs its whole budget. A RunRecord holds about 94 bytes
+        # per step; building each file as one string added about 320 more.
+        # The child reads VmHWM, as in TestBatchMemory.
+        code = (
+            "import sys\n"
+            "from la_nav.cli import main\n"
+            "main(['run', '--preset', '2', '--seed', '1', '--max-steps', sys.argv[1],"
+            " '--out', sys.argv[2]])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(status.split('VmHWM:')[1].split()[0])\n"
+        )
+        peaks = []
+        for steps in (10_000, 60_000):
+            proc = _python(code, str(steps), str(tmp_path / str(steps)))
+            assert proc.returncode == 0, proc.stderr
+            peaks.append(int(proc.stdout.splitlines()[-1]))
+        assert peaks[1] - peaks[0] < 50_000 * 200 // 1024, peaks  # kB
 
 
 class TestStartupImports:
