@@ -23,7 +23,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from itertools import count, islice
+from itertools import islice
 from pathlib import Path
 
 from ._value import Value, _set
@@ -322,15 +322,18 @@ def _write_text(path: Path, pieces: Iterable[str]) -> None:
 # newline; _write_text writes them as they come. They format floats with
 # repr: the shortest decimal string that round-trips to the same float.
 # Every value they format is a Python float.
-# A row whose values cannot have changed reuses the previous row's text: a
-# blocked move keeps the pose (and so its goal distance) bit for bit, and an
-# update at rate 0 returns the probabilities unchanged. Row 1 is always
-# formatted, since the start it would repeat is not a row.
+# Every per-step writer, the SVG polyline's included, formats a row only when
+# its values differ from the previous row's, and otherwise yields the previous
+# text. Equal floats have the same text unless one is -0.0, and no recorded
+# value is -0.0 (see RunRecord). NaN never equals itself, so it is always
+# formatted.
 def _trajectory_csv(record: RunRecord) -> Iterator[str]:
     yield "n,x,y,theta,action,flag,d,blocked\n"
-    rows = zip(record.x, record.y, record.theta, record.action, record.flag, record.d, record.blocked)
-    for n, (x, y, theta, action, flag, d, blocked) in enumerate(rows, start=1):
-        if not blocked or n == 1:
+    rows = zip(zip(record.x, record.y, record.theta, record.d), record.action, record.flag, record.blocked)
+    last = None
+    for n, (values, action, flag, blocked) in enumerate(rows, start=1):
+        if values != last:
+            x, y, theta, d = last = values
             pose = f"{x!r},{y!r},{theta!r}"
             dist = repr(d)
         yield f"{n},{pose},{action},{flag},{dist},{blocked}\n"
@@ -339,23 +342,14 @@ def _trajectory_csv(record: RunRecord) -> Iterator[str]:
 def _probs_csv(record: RunRecord) -> Iterator[str]:
     r = ACTION_COUNT
     probs = record.probs
-    # The rate each step's update applied, indexed by its feedback flag.
-    rates = (record.config.scheme.reward_rate, record.config.scheme.penalty_rate)
     yield "n," + ",".join(f"p{i}" for i in range(1, r + 1)) + "\n"
-    prev = -r  # where the previous row starts
-    for n, action, flag in zip(count(1), record.action, record.flag):
-        i = prev + r
-        # An update at a nonzero rate can still return the vector unchanged:
-        # a reward for an action already at exactly 1.0 (absorbed L_R-I).
-        # Only then are the rows compared. No probability is ever -0.0 (every
-        # update multiplies and adds non-negative values), so equal rows have
-        # the same repr.
-        if n == 1 or rates[flag] and not (
-            probs[prev + action - 1] == 1.0 and probs[i : i + r] == probs[prev:i]
-        ):
-            row = ",".join(map(repr, probs[i : i + r]))
+    last = None
+    for n, i in enumerate(range(0, len(probs), r), start=1):
+        values = probs[i : i + r]
+        if values != last:
+            last = values
+            row = ",".join(map(repr, values))
         yield f"{n},{row}\n"
-        prev = i
 
 
 def _summary_dict(record: RunRecord) -> dict:
@@ -426,12 +420,11 @@ def _svg(record: RunRecord) -> Iterator[str]:
         f'r="0.6" fill="#2a7e2a"/>\n'
     )
     if record.total_steps:
-        # A blocked move repeats the previous point's text, as in the CSVs. The
-        # first point is always formatted: the start "0,0" drops the sign of -0.0.
         yield '<polyline class="trajectory" points="0,0'
-        point = None
-        for x, y, blocked in zip(record.x, record.y, record.blocked):
-            if not blocked or point is None:
+        last = None
+        for values in zip(record.x, record.y):
+            if values != last:
+                x, y = last = values
                 point = f" {_svg_coord(x)},{_svg_coord(-y)}"
             yield point
         yield '" fill="none" stroke="#1f4fa0" stroke-width="0.5"/>\n'

@@ -234,13 +234,11 @@ class RunRecord(Value):
     holds the action probabilities after each update, ``ACTION_COUNT``
     values per step.
 
-    Two invariants hold bit for bit, and the CSV writers rely on them:
-
-    * a blocked step repeats the previous step's ``x``, ``y``, ``theta``
-      and ``d`` (the start pose and its goal distance for step 1);
-    * a step whose flag selects a zero rate of the scheme
-      (``(reward_rate, penalty_rate)[flag] == 0``) repeats the previous
-      step's probabilities (the uniform start for step 1).
+    The artifact writers rely on one property: no float in ``x``, ``y``,
+    ``theta``, ``d`` or ``probs`` is -0.0, so equal values have equal text.
+    ``x``, ``y`` and ``theta`` are sums that start at +0.0, and a rounded
+    sum is -0.0 only when both terms are; ``d`` is a ``hypot``; the
+    probabilities are non-negative products and sums.
     """
 
     __slots__ = _fields = (

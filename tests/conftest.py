@@ -3,7 +3,15 @@
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from la_nav import CircleObstacle, ExperimentConfig, LearningScheme, ProbabilityVector, WorldSpec
+from la_nav import (
+    CircleObstacle,
+    ExperimentConfig,
+    LearningScheme,
+    ProbabilityVector,
+    RobotParams,
+    WorldSpec,
+    preset_config,
+)
 
 
 @st.composite
@@ -90,3 +98,12 @@ def zero_reward_general_config() -> ExperimentConfig:
     return ExperimentConfig(
         scheme=LearningScheme.general(0.0, 0.4), seed=3, world=WorldSpec(goal=(30.0, 5.0)), max_steps=400
     )
+
+
+def zero_speed_config() -> ExperimentConfig:
+    """Preset 1 with wheel speed 0: every row repeats the start pose without a block.
+
+    Its move table holds -0.0 (Backward's travel, LeftBackward's half turn
+    and turn), which must not reach the record.
+    """
+    return preset_config(1, seed=1).replace(robot=RobotParams(wheel_speed=0.0), max_steps=300)

@@ -27,7 +27,7 @@ from la_nav import (
 from la_nav.cli import _WRITE_CHUNK, build_svg, emit_artifacts, main, parse_config
 from la_nav.runner import RunRecord
 
-from conftest import first_move_blocked_config, zero_reward_general_config
+from conftest import first_move_blocked_config, zero_reward_general_config, zero_speed_config
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -228,9 +228,11 @@ def short_record():
     return run_episode(preset_config(1, seed=42))
 
 
-# Records that take every path of the CSV writers: a fresh row, a repeated
-# pose (blocked move) and repeated probabilities (update at rate 0), also on
-# row 1. Preset 2 seed 2 pushes into a wall, so nearly all its rows repeat.
+# Records that take every path of the writers, which reuse a row's text while
+# its values repeat: fresh rows; poses repeated by a blocked move, or without
+# one by a robot that cannot move; probabilities repeated by an update at
+# rate 0; each also on row 1. Preset 2 seed 2 pushes into a wall, so nearly
+# all its rows repeat.
 # The chunk-edge records run their whole budget, so their CSVs (a header and
 # one row per step) fill exactly one write chunk, or spill one or two rows
 # into a second.
@@ -244,6 +246,7 @@ ROUND_TRIP_CONFIGS = {
     "preset4": preset_config(4, seed=1),
     "first-move-blocked": first_move_blocked_config(),
     "zero-reward-general": zero_reward_general_config(),
+    "zero-speed": zero_speed_config(),
     **{
         name: preset_config(2, seed=1).replace(max_steps=steps)
         for name, steps in CHUNK_EDGE_STEPS.items()
@@ -300,15 +303,18 @@ class TestArtifacts:
         general = run_episode(ROUND_TRIP_CONFIGS["zero-reward-general"])
         assert general.flag[0] == 0
         assert general.success
+        # Every row repeats the start pose, and no move is blocked.
+        still = run_episode(ROUND_TRIP_CONFIGS["zero-speed"])
+        assert not any(still.blocked)
+        assert set(zip(still.x, still.y, still.theta)) == {(0.0, 0.0, 0.0)}
 
-    def test_polyline_repeats_blocked_points(self):
-        record = run_episode(ROUND_TRIP_CONFIGS["first-move-blocked"])
+    def test_round_trip_polyline_points(self, round_trip_record):
+        # Exact text: parsed floats would hide the sign of zero.
+        record = round_trip_record
         (polyline,) = (line for line in build_svg(record).splitlines() if "<polyline" in line)
         points = polyline.split('points="')[1].split('"')[0].split(" ")
-        assert len(points) == record.total_steps + 1
-        for i, point in enumerate(points[1:]):
-            x, y = (float(v) for v in point.split(","))
-            assert (x, y) == (float(format(record.x[i], ".6g")), -float(format(record.y[i], ".6g")))
+        assert points[0] == "0,0"
+        assert points[1:] == [format(x, ".6g") + "," + format(-y, ".6g") for x, y in zip(record.x, record.y)]
 
     def test_summary_contents(self, short_record, tmp_path):
         artifacts = emit_artifacts(short_record, tmp_path)

@@ -32,7 +32,7 @@ from la_nav import (
     summarize,
 )
 
-from conftest import first_move_blocked_config
+from conftest import first_move_blocked_config, zero_reward_general_config, zero_speed_config
 
 
 # The box fills the bounds and the start lies on its edge, outside its open
@@ -52,6 +52,18 @@ def pinned_goal_config(goal=(40.0, 0.0), seed=1, **kwargs):
     )
     defaults.update(kwargs)
     return ExperimentConfig(**defaults)
+
+
+# Runs whose columns must hold no -0.0: the presets, a first move that keeps
+# the start pose, a robot whose move table holds -0.0, updates at rate 0, and
+# the inverted success test.
+NO_NEGATIVE_ZERO_CONFIGS = {
+    **{f"preset{p}-seed{s}": preset_config(p, seed=s) for p in (1, 2, 3, 4) for s in (1, 2, 3)},
+    "first-move-blocked": first_move_blocked_config(),
+    "zero-speed": zero_speed_config(),
+    "zero-reward-general": zero_reward_general_config(),
+    "literal-eq10": preset_config(4, seed=1).replace(feedback_literal_eq10=True),
+}
 
 
 def prob_rows(record):
@@ -116,7 +128,7 @@ class TestEpisode:
             probs_before = probs_after
 
     def test_blocked_steps_keep_pose_and_fail(self):
-        # Bit for bit, pose and distance: the CSV writers reuse the previous row's text.
+        # Bit for bit, pose and distance.
         for config in (preset_config(4, seed=1), preset_config(2, seed=2), first_move_blocked_config()):
             record = run_episode(config)
             assert any(record.blocked), "expected at least one blocked step for this seed"
@@ -126,6 +138,14 @@ class TestEpisode:
                 if blocked:
                     assert [v.hex() for v in after] == [v.hex() for v in before]
                     assert flag == 1
+
+    @pytest.mark.parametrize("name", sorted(NO_NEGATIVE_ZERO_CONFIGS))
+    def test_no_recorded_float_is_negative_zero(self, name):
+        # The artifact writers repeat a row's text while its values repeat;
+        # equal floats have equal text unless one of them is -0.0.
+        record = run_episode(NO_NEGATIVE_ZERO_CONFIGS[name])
+        for column in (record.x, record.y, record.theta, record.d, record.probs):
+            assert all(math.copysign(1.0, v) == 1.0 for v in column if v == 0.0)
 
     def test_obstacle_safety_in_blocking_preset(self):
         record = run_episode(preset_config(4, seed=2))
