@@ -8,6 +8,8 @@ Verbs:
               batch_summary.json
 * ``presets`` list the built-in experiment presets
 
+``emit_artifacts(record, out_dir)`` writes those four files into ``out_dir``
+and returns nothing: a caller that reads one joins its name to ``out_dir``.
 Identical invocations (flags + config + seed) produce byte-identical CSV
 and JSON outputs; floats are written with shortest round-trip formatting.
 The CSVs and the SVG are written as they are formatted, a fixed number of
@@ -24,9 +26,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
-from pathlib import Path
 
-from ._value import Value, _set
 from .automata import LearningScheme, SchemeKind
 from .errors import ConfigError, SimulationError
 from .kinematics import ACTION_COUNT, RobotParams
@@ -52,20 +52,6 @@ _WORLD_KEYS = {"goal", "random_goal", "tolerance", "bounds", "obstacles"}
 _BOUNDS_KEYS = {"min", "max"}
 _CIRCLE_KEYS = {"shape", "center", "radius"}
 _RECT_KEYS = {"shape", "min", "max"}
-
-
-class RunArtifacts(Value):
-    """Paths of the four files emitted for one run."""
-
-    __slots__ = _fields = ("trajectory_csv", "probs_csv", "summary_json", "plot_svg")
-
-    def __init__(
-        self, trajectory_csv: Path, probs_csv: Path, summary_json: Path, plot_svg: Path
-    ) -> None:
-        _set(self, "trajectory_csv", trajectory_csv)
-        _set(self, "probs_csv", probs_csv)
-        _set(self, "summary_json", summary_json)
-        _set(self, "plot_svg", plot_svg)
 
 
 # ---------------------------------------------------------------------------
@@ -239,11 +225,11 @@ def _resolve_seed(data: dict, env: dict):
 
 
 def parse_config(
-    path: str | Path | None = None,
+    path: str | None = None,
     overrides: dict | None = None,
     env: dict | None = None,
 ) -> ExperimentConfig:
-    """Load, merge and validate a run configuration.
+    """Load, merge and validate a run configuration from the JSON file ``path``.
 
     ``overrides`` (typically CLI flags) win over file keys, which win over
     preset defaults. A ``None`` override, and a ``null`` preset or seed,
@@ -306,7 +292,7 @@ def parse_config(
 _WRITE_CHUNK = 256
 
 
-def _write_text(path: Path, pieces: Iterable[str]) -> None:
+def _write_text(path: str, pieces: Iterable[str]) -> None:
     """Write ``pieces`` to ``path`` as they are made, ``_WRITE_CHUNK`` per write.
 
     Pass a one-element tuple for a file made as one string: a bare ``str``
@@ -369,7 +355,9 @@ def _summary_dict(record: RunRecord) -> dict:
 
 
 def _svg_coord(v: float) -> str:
-    return format(v, ".6g")
+    # + 0.0 turns -0.0 (a negated zero y) into 0.0 and leaves every other float
+    # as it is, so each position has one text.
+    return format(v + 0.0, ".6g")
 
 
 def _svg(record: RunRecord) -> Iterator[str]:
@@ -440,22 +428,17 @@ def build_svg(record: RunRecord) -> str:
     return "".join(_svg(record))
 
 
-def emit_artifacts(record: RunRecord, out_dir: str | Path) -> RunArtifacts:
-    """Write the four per-run files into ``out_dir`` (created if missing)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts = RunArtifacts(
-        trajectory_csv=out / "trajectory.csv",
-        probs_csv=out / "probs.csv",
-        summary_json=out / "summary.json",
-        plot_svg=out / "plot.svg",
-    )
-    _write_text(artifacts.trajectory_csv, _trajectory_csv(record))
-    _write_text(artifacts.probs_csv, _probs_csv(record))
+def emit_artifacts(record: RunRecord, out_dir: str) -> None:
+    """Write trajectory.csv, probs.csv, summary.json and plot.svg into ``out_dir``.
+
+    ``out_dir`` (a str or path-like object) is created if missing.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    _write_text(os.path.join(out_dir, "trajectory.csv"), _trajectory_csv(record))
+    _write_text(os.path.join(out_dir, "probs.csv"), _probs_csv(record))
     summary = json.dumps(_summary_dict(record), sort_keys=True, indent=2) + "\n"
-    _write_text(artifacts.summary_json, (summary,))
-    _write_text(artifacts.plot_svg, _svg(record))
-    return artifacts
+    _write_text(os.path.join(out_dir, "summary.json"), (summary,))
+    _write_text(os.path.join(out_dir, "plot.svg"), _svg(record))
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +473,10 @@ def _cli_overrides(args: argparse.Namespace) -> dict:
 def _cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config, _cli_overrides(args))
     record = run_episode(config)
-    out = Path(args.out)
-    emit_artifacts(record, out)
+    emit_artifacts(record, args.out)
     print(
         f"seed {record.seed}: {record.terminated.value} after {record.total_steps} steps"
-        f" (artifacts in {out})"
+        f" (artifacts in {args.out})"
     )
     return 0
 
@@ -508,8 +490,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     overrides.setdefault("seed", seeds[0])
     template = parse_config(args.config, overrides)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     # Each record is written out and dropped before the next seed runs.
     steps: list[int] = []
     successes = 0
@@ -518,7 +499,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if isinstance(outcome, SeedFailure):
             failures.append(outcome)
         else:
-            emit_artifacts(outcome, out / f"seed_{outcome.seed}")
+            emit_artifacts(outcome, os.path.join(args.out, f"seed_{outcome.seed}"))
             steps.append(outcome.total_steps)
             successes += outcome.success
         # Drop the record now: the loop variable would keep it alive through
@@ -534,7 +515,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         "summary": summary,
     }
     batch_json = json.dumps(batch_doc, sort_keys=True, indent=2) + "\n"
-    _write_text(out / "batch_summary.json", (batch_json,))
+    _write_text(os.path.join(args.out, "batch_summary.json"), (batch_json,))
 
     print(
         f"{summary['runs']} runs, {successes} reached the goal "

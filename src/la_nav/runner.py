@@ -399,7 +399,8 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
             flags.append(flag)
             blocks.append(blocked)
             d_prev = d
-            if goal_reached(x, y, world):
+            # goal_reached's test, on the distance just computed.
+            if d <= world.goal_tolerance:
                 terminated = Termination.GOAL_REACHED
                 break
 

@@ -249,10 +249,10 @@ def test_criterion_7_obstacle_avoidance(preset1_batch):
 def test_criterion_8_artifact_determinism(tmp_path):
     record_a = run_episode(preset_config(1, seed=11))
     record_b = run_episode(preset_config(1, seed=11))
-    out_a = emit_artifacts(record_a, tmp_path / "a")
-    out_b = emit_artifacts(record_b, tmp_path / "b")
-    for name in ("trajectory_csv", "probs_csv", "summary_json"):
-        assert getattr(out_a, name).read_bytes() == getattr(out_b, name).read_bytes()
+    emit_artifacts(record_a, tmp_path / "a")
+    emit_artifacts(record_b, tmp_path / "b")
+    for name in ("trajectory.csv", "probs.csv", "summary.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
     report(8, "determinism", "trajectory/probs/summary byte-identical on rerun")
 
 

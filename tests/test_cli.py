@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,9 @@ from la_nav.cli import _WRITE_CHUNK, build_svg, emit_artifacts, main, parse_conf
 from la_nav.runner import RunRecord
 
 from conftest import first_move_blocked_config, zero_reward_general_config, zero_speed_config
+
+
+ARTIFACT_NAMES = ("trajectory.csv", "probs.csv", "summary.json", "plot.svg")
 
 
 def write_config(tmp_path, data, name="config.json"):
@@ -265,8 +269,8 @@ def _bits(values):
 
 class TestArtifacts:
     def test_round_trip_trajectory_bit_equal(self, round_trip_record, tmp_path):
-        artifacts = emit_artifacts(round_trip_record, tmp_path)
-        with open(artifacts.trajectory_csv) as fh:
+        emit_artifacts(round_trip_record, tmp_path)
+        with open(tmp_path / "trajectory.csv") as fh:
             rows = list(csv.DictReader(fh))
         rec = round_trip_record
         assert len(rows) == rec.total_steps
@@ -279,16 +283,16 @@ class TestArtifacts:
             assert int(row["blocked"]) == rec.blocked[i]
 
     def test_round_trip_probability_history(self, round_trip_record, tmp_path):
-        artifacts = emit_artifacts(round_trip_record, tmp_path)
-        with open(artifacts.probs_csv) as fh:
+        emit_artifacts(round_trip_record, tmp_path)
+        with open(tmp_path / "probs.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == round_trip_record.total_steps
         cells = [row[f"p{i}"] for row in rows for i in range(1, 7)]
         assert _bits(cells) == _bits(round_trip_record.probs)
 
     def test_round_trip_plot_is_build_svg(self, round_trip_record, tmp_path):
-        artifacts = emit_artifacts(round_trip_record, tmp_path)
-        assert artifacts.plot_svg.read_text() == build_svg(round_trip_record)
+        emit_artifacts(round_trip_record, tmp_path)
+        assert (tmp_path / "plot.svg").read_text() == build_svg(round_trip_record)
 
     @pytest.mark.parametrize("name", sorted(CHUNK_EDGE_STEPS))
     def test_chunk_edge_records_run_their_whole_budget(self, name):
@@ -309,16 +313,18 @@ class TestArtifacts:
         assert set(zip(still.x, still.y, still.theta)) == {(0.0, 0.0, 0.0)}
 
     def test_round_trip_polyline_points(self, round_trip_record):
-        # Exact text: parsed floats would hide the sign of zero.
+        # Exact text: parsed floats would hide the sign of zero. SVG y is
+        # 0.0 - y, which is 0.0, not -0.0, where the world y is 0.0.
         record = round_trip_record
         (polyline,) = (line for line in build_svg(record).splitlines() if "<polyline" in line)
         points = polyline.split('points="')[1].split('"')[0].split(" ")
         assert points[0] == "0,0"
-        assert points[1:] == [format(x, ".6g") + "," + format(-y, ".6g") for x, y in zip(record.x, record.y)]
+        assert points[1:] == [format(x, ".6g") + "," + format(0.0 - y, ".6g") for x, y in zip(record.x, record.y)]
+        assert "-0" not in {c for point in points for c in point.split(",")}
 
     def test_summary_contents(self, short_record, tmp_path):
-        artifacts = emit_artifacts(short_record, tmp_path)
-        doc = json.loads(artifacts.summary_json.read_text())
+        emit_artifacts(short_record, tmp_path)
+        doc = json.loads((tmp_path / "summary.json").read_text())
         assert doc["terminated"] == "goal_reached"
         assert doc["total_steps"] == short_record.total_steps
         assert doc["seed"] == 42
@@ -333,10 +339,10 @@ class TestArtifacts:
                 scheme=LearningScheme.lrp(0.7), seed=1, world=WorldSpec(goal=(0.5, 0.5))
             )
         )
-        artifacts = emit_artifacts(record, tmp_path)
-        assert artifacts.trajectory_csv.read_text() == "n,x,y,theta,action,flag,d,blocked\n"
-        assert artifacts.probs_csv.read_text() == "n,p1,p2,p3,p4,p5,p6\n"
-        svg = artifacts.plot_svg.read_text()
+        emit_artifacts(record, tmp_path)
+        assert (tmp_path / "trajectory.csv").read_text() == "n,x,y,theta,action,flag,d,blocked\n"
+        assert (tmp_path / "probs.csv").read_text() == "n,p1,p2,p3,p4,p5,p6\n"
+        svg = (tmp_path / "plot.svg").read_text()
         assert svg == build_svg(record)
         assert "polyline" not in svg
         assert 'class="goal"' in svg
@@ -348,11 +354,20 @@ class TestArtifacts:
         assert svg.count('class="obstacle"') == 2
         assert svg.count("<polyline") == 1
 
+    def test_goal_on_the_x_axis_is_drawn_at_cy_0(self, tmp_path):
+        # The SVG y of the goal negates a world y of 0.0, which must not print "-0".
+        path = write_config(tmp_path, {"preset": 1, "seed": 1, "max_steps": 5, "world": {"goal": [30, 0]}})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        svg = (out / "plot.svg").read_text()
+        assert svg.count('cx="30" cy="0"') == 2
+        assert re.search(r"-0(?![.\d])", svg) is None
+
     def test_emission_is_deterministic(self, short_record, tmp_path):
-        a = emit_artifacts(short_record, tmp_path / "a")
-        b = emit_artifacts(short_record, tmp_path / "b")
-        for name in ("trajectory_csv", "probs_csv", "summary_json", "plot_svg"):
-            assert getattr(a, name).read_bytes() == getattr(b, name).read_bytes()
+        emit_artifacts(short_record, tmp_path / "a")
+        emit_artifacts(short_record, tmp_path / "b")
+        for name in ARTIFACT_NAMES:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 # sha256 of (trajectory.csv, probs.csv, summary.json, plot.svg) written by
@@ -363,7 +378,7 @@ GOLDEN_ARTIFACTS = {
         "29ca556405f06830851fff398de190b6d9b1d2468de61e0e0ad8fe24b87d69fa",
         "bdfe42522b5568d7ab7c46fbe30b20753b168e0cd8db49db5c4aba2896c294c8",
         "2b725d816f06ec95a92a9f11219b0778444ba7a0b83bf306d144c5b27ce027e9",
-        "e89761260067fc9dde16e0027ec8b28fb52f1a3d03d185c0557b3f22d2af5300",
+        "16408a7ef27e66a50d86e918075419c4f43fd335cc3e955a536bb4cacb11c7d2",
     ),
     (1, 2): (
         "66753a49eb34e4e954d2c3bbfdbe3f1ebd5997c4c4f7dd444b4471980d266e4f",
@@ -381,7 +396,7 @@ GOLDEN_ARTIFACTS = {
         "b0d3623500bf04075ffda109374aea14c8d7f687854d6b7d68be4ffdfab02720",
         "f640d1933ed28bb7672fbeeee81210e85c133d72fed89db33a364add20d8509c",
         "516de6f13dfe071777c77bde4cf55d6a00e44e16bec18fbcd601f78130c225e8",
-        "ab06966dae814ea2eae4f33215e5fc6d0fe52905d8f66b8ecb44bfbae629966e",
+        "4fc009da91ceb0e2bd1374d9a3eee902d52414fc98513b3b523c74449291459c",
     ),
     (2, 2): (
         "c7b1ef28bba4ece9424a740eeb75eeb903e741d7a2ff8619956ac851f3289471",
@@ -399,7 +414,7 @@ GOLDEN_ARTIFACTS = {
         "e01ad88c67b0ea71f493a2101bce0563db1bbd534e7b3d9cfa428c0d7c6fe62b",
         "18827a35ddab89cb768e4b1aaa112814686acb3e3e363ae981cfa9978991f281",
         "17c420e44d3cebce0a23eee5a4cc8cea91c336440d16cb7099a18c1fe18d4f47",
-        "51cb5cbb1ebbb40cb0718269addac0daa56679b6ec130dd507a236f959c69147",
+        "ab57c71b547426c447505f1fb632b921a8a5be774509896e3dd79853e02f1cee",
     ),
     (3, 2): (
         "e2164cd5ad052fd252fecdb3b3750290f7c0aacc267d477cec27ae4127f8082e",
@@ -417,7 +432,7 @@ GOLDEN_ARTIFACTS = {
         "ac11796456f771d6d9957367b148bb38d82e993032b2b20c718fca68e486f831",
         "10c8f25a0e98f2ab085860c3cc47e2294f688b6133a413b4151d76fa38350e94",
         "1fef565993f58f01c8486b531e9e2a2a063e74a96f70fb47c5bceb506d5a640f",
-        "04862a60b081091b9107474a5570cc2eaba32d495838b816bbdb47716f2e2f61",
+        "eb04c4b37f6d93ea245d05a31624dd5c7f2f7fbbd28e443c5d8128580e10001f",
     ),
     (4, 2): (
         "5c8d82e6b83f180cf54dec00003343569f27e624471e3fadd6afa2f5301b7cbb",
@@ -434,21 +449,17 @@ GOLDEN_ARTIFACTS = {
 }
 
 
-ARTIFACT_NAMES = ("trajectory_csv", "probs_csv", "summary_json", "plot_svg")
-
-
 class TestGoldenArtifacts:
     @pytest.mark.parametrize("preset_seed", sorted(GOLDEN_ARTIFACTS))
     def test_artifact_bytes_are_pinned(self, preset_seed, tmp_path):
         preset, seed = preset_seed
         record = run_episode(preset_config(preset, seed=seed))
-        artifacts = emit_artifacts(record, tmp_path)
+        emit_artifacts(record, tmp_path)
         observed = tuple(
-            hashlib.sha256(getattr(artifacts, name).read_bytes()).hexdigest()
-            for name in ARTIFACT_NAMES
+            hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACT_NAMES
         )
         assert observed == GOLDEN_ARTIFACTS[preset_seed]
-        assert artifacts.plot_svg.read_text() == build_svg(record)
+        assert (tmp_path / "plot.svg").read_text() == build_svg(record)
 
 
 class TestMain:
@@ -461,6 +472,34 @@ class TestMain:
         assert (out / "summary.json").exists()
         assert (out / "plot.svg").exists()
         assert "goal_reached" in capsys.readouterr().out
+
+    def test_run_echoes_out_as_typed(self, tmp_path, capsys):
+        # The last line keeps a trailing slash of --out.
+        out = f"{tmp_path}/out/"
+        assert main(["run", "--preset", "1", "--seed", "42", "--out", out]) == 0
+        steps = run_episode(preset_config(1, seed=42)).total_steps
+        assert capsys.readouterr().out == f"seed 42: goal_reached after {steps} steps (artifacts in {out})\n"
+
+    @pytest.mark.parametrize(
+        "argv,blocker",
+        [
+            (["run", "--preset", "1", "--seed", "1"], None),
+            (["batch", "--preset", "1", "--seeds", "1..3"], None),
+            (["batch", "--preset", "1", "--seeds", "1..3"], "seed_2"),
+        ],
+        ids=["run", "batch", "batch-seed-dir"],
+    )
+    def test_out_blocked_by_a_file_exits_with_one_error_line(self, tmp_path, capsys, argv, blocker):
+        out = tmp_path / "out"
+        path = out if blocker is None else out / blocker
+        path.parent.mkdir(exist_ok=True)
+        path.write_text("")
+        code = main([*argv, "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: [Errno 17] File exists: '{path}'"]
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -865,7 +904,7 @@ class TestStartupImports:
             "import la_nav.cli\n"
             "la_nav.cli.main(['presets'])\n"
             "la_nav.cli.parse_config(None, {'preset': 1, 'seed': 1})\n"
-            "print([m for m in ('dataclasses', 'inspect', 'hashlib') if m in sys.modules])\n"
+            "print([m for m in ('dataclasses', 'inspect', 'hashlib', 'pathlib') if m in sys.modules])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120

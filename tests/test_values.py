@@ -4,7 +4,6 @@ import copy
 import pickle
 import sys
 from array import array
-from pathlib import Path
 
 import pytest
 
@@ -24,7 +23,6 @@ from la_nav import (
     preset_config,
     run_episode,
 )
-from la_nav.cli import RunArtifacts
 
 DEFAULT_BOUNDS = "Bounds(x_min=-100.0, y_min=-100.0, x_max=100.0, y_max=100.0)"
 LRP = "LearningScheme(kind=<SchemeKind.LRP: 'lrp'>, reward_rate=0.7, penalty_rate=0.7)"
@@ -104,14 +102,6 @@ REPRS = [
     (
         lambda: SeedFailure(seed=3, error="no feasible goal"),
         "SeedFailure(seed=3, error='no feasible goal')",
-    ),
-    (
-        lambda: RunArtifacts(
-            Path("a/trajectory.csv"), Path("a/probs.csv"), Path("a/summary.json"), Path("a/plot.svg")
-        ),
-        "RunArtifacts(trajectory_csv=PosixPath('a/trajectory.csv'), "
-        "probs_csv=PosixPath('a/probs.csv'), summary_json=PosixPath('a/summary.json'), "
-        "plot_svg=PosixPath('a/plot.svg'))",
     ),
 ]
 REPR_IDS = [text.partition("(")[0] for _, text in REPRS]
