@@ -8,6 +8,16 @@ and stores each one with ``_set(self, name, value)``.
 _set = object.__setattr__
 
 
+def _number(value, what: str) -> float:
+    """``value`` as a float, -0.0 as 0.0; ValueError for a bool, a non-number or an int beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value) + 0.0
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got an integer beyond float range") from None
+
+
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._value import Value, _set
+from ._value import Value, _number, _set
 
 SUM_TOLERANCE = 1e-9
 
@@ -51,6 +51,15 @@ class SchemeKind(str, Enum):
     PENALTY_ONLY = "penalty_only"
 
 
+# The error for a rate that is still missing once a family's defaults are filled in.
+_MISSING_RATE = {
+    SchemeKind.GENERAL_P: "general scheme needs both a reward and a penalty rate",
+    SchemeKind.LRP: "reward-penalty scheme needs a rate",
+    SchemeKind.LRI: "reward-inaction scheme needs a reward rate",
+    SchemeKind.PENALTY_ONLY: "penalty-only scheme needs a penalty rate",
+}
+
+
 class LearningScheme(Value):
     """Reinforcement scheme: reward/penalty rates plus the scheme family.
 
@@ -58,12 +67,30 @@ class LearningScheme(Value):
     failures. The family constrains the two rates: reward-penalty ties them
     together, reward-inaction zeroes the penalty, and penalty-only zeroes
     the reward. ``kind`` may be a ``SchemeKind`` or its string value.
+
+    A rate left out (``None``) is filled in: for ``lrp`` from the other rate,
+    for ``lri`` (penalty) and ``penalty_only`` (reward) as 0; ``general`` fills
+    in nothing. A rate still missing is a ``ValueError`` naming the family.
+    Both rates are stored as floats.
     """
 
     __slots__ = _fields = ("kind", "reward_rate", "penalty_rate")
 
-    def __init__(self, kind: SchemeKind, reward_rate: float, penalty_rate: float = 0.0) -> None:
+    def __init__(
+        self, kind: SchemeKind, reward_rate: float | None = None, penalty_rate: float | None = None
+    ) -> None:
         kind = SchemeKind(kind)
+        if kind is SchemeKind.LRP:
+            reward_rate = penalty_rate if reward_rate is None else reward_rate
+            penalty_rate = reward_rate if penalty_rate is None else penalty_rate
+        elif kind is SchemeKind.LRI and penalty_rate is None:
+            penalty_rate = 0.0
+        elif kind is SchemeKind.PENALTY_ONLY and reward_rate is None:
+            reward_rate = 0.0
+        if reward_rate is None or penalty_rate is None:
+            raise ValueError(_MISSING_RATE[kind])
+        reward_rate = _number(reward_rate, "reward rate")
+        penalty_rate = _number(penalty_rate, "penalty rate")
         if not 0.0 <= reward_rate <= 1.0:
             raise ValueError(f"reward rate {reward_rate!r} outside [0, 1]")
         if not 0.0 <= penalty_rate <= 1.0:
@@ -77,22 +104,6 @@ class LearningScheme(Value):
         _set(self, "kind", kind)
         _set(self, "reward_rate", reward_rate)
         _set(self, "penalty_rate", penalty_rate)
-
-    @classmethod
-    def general(cls, reward_rate: float, penalty_rate: float) -> "LearningScheme":
-        return cls(SchemeKind.GENERAL_P, reward_rate, penalty_rate)
-
-    @classmethod
-    def lrp(cls, rate: float) -> "LearningScheme":
-        return cls(SchemeKind.LRP, rate, rate)
-
-    @classmethod
-    def lri(cls, reward_rate: float) -> "LearningScheme":
-        return cls(SchemeKind.LRI, reward_rate, 0.0)
-
-    @classmethod
-    def penalty_only(cls, penalty_rate: float) -> "LearningScheme":
-        return cls(SchemeKind.PENALTY_ONLY, 0.0, penalty_rate)
 
 
 def _check_action(chosen: int, r: int) -> None:

@@ -103,29 +103,8 @@ def _build_scheme(data: dict) -> LearningScheme:
         valid = ", ".join(k.value for k in SchemeKind)
         raise ConfigError("scheme.kind", f"unknown kind {kind_raw!r} (valid: {valid})") from None
 
-    a = _as_number(data["a"], "scheme.a") if "a" in data else None
-    b = _as_number(data["b"], "scheme.b") if "b" in data else None
-    if a is not None and not 0.0 <= a <= 1.0:
-        raise ConfigError("scheme.a", f"must be within [0, 1], got {a}")
-    if b is not None and not 0.0 <= b <= 1.0:
-        raise ConfigError("scheme.b", f"must be within [0, 1], got {b}")
-
-    if kind is SchemeKind.LRP:
-        if a is None and b is None:
-            raise ConfigError("scheme.a", "reward-penalty scheme needs a rate")
-        a = a if a is not None else b
-        b = b if b is not None else a
-    elif kind is SchemeKind.LRI:
-        if a is None:
-            raise ConfigError("scheme.a", "reward-inaction scheme needs a reward rate")
-        b = b if b is not None else 0.0
-    elif kind is SchemeKind.PENALTY_ONLY:
-        if b is None:
-            raise ConfigError("scheme.b", "penalty-only scheme needs a penalty rate")
-        a = a if a is not None else 0.0
-    else:
-        if a is None or b is None:
-            raise ConfigError("scheme", "general scheme needs both 'a' and 'b'")
+    # An absent rate is None: LearningScheme fills it in from the family or names it.
+    a, b = (_as_number(data[key], f"scheme.{key}") if key in data else None for key in "ab")
     try:
         return LearningScheme(kind, a, b)
     except ValueError as exc:

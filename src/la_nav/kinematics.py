@@ -18,10 +18,9 @@ line when both wheels turn alike) and is computed in closed form.
 from __future__ import annotations
 
 import math
-import sys
 from enum import IntEnum
 
-from ._value import Value, _set
+from ._value import Value, _number, _set
 
 
 class RobotParams(Value):
@@ -29,7 +28,7 @@ class RobotParams(Value):
 
     ``wheel_radius`` and ``axle_length`` are in cm, ``wheel_speed`` in
     rad/s (magnitude used by every driven wheel), ``action_duration`` in
-    seconds. All four are finite.
+    seconds. All four are finite and stored as floats; a ``bool`` is rejected.
     """
 
     __slots__ = _fields = ("wheel_radius", "axle_length", "wheel_speed", "action_duration")
@@ -41,20 +40,17 @@ class RobotParams(Value):
         wheel_speed: float = 2.0,
         action_duration: float = 0.5,
     ) -> None:
-        if not wheel_radius > 0:
-            raise ValueError(f"wheel radius must be positive, got {wheel_radius!r}")
-        if not axle_length > 0:
-            raise ValueError(f"axle length must be positive, got {axle_length!r}")
-        if not wheel_speed >= 0:
-            raise ValueError(f"wheel speed must be non-negative, got {wheel_speed!r}")
-        if not action_duration > 0:
-            raise ValueError(f"action duration must be positive, got {action_duration!r}")
-        # NaN failed above, so what is left beyond float range is +inf or
-        # an integer too large to convert to a float.
         for name, value in zip(self._fields, (wheel_radius, axle_length, wheel_speed, action_duration)):
-            if value > sys.float_info.max:
-                got = "inf" if value == math.inf else "an integer beyond float range"
-                raise ValueError(f"{name.replace('_', ' ')} must be finite, got {got}")
+            what = name.replace("_", " ")
+            value = _number(value, what)
+            if name == "wheel_speed":
+                if not value >= 0:
+                    raise ValueError(f"{what} must be non-negative, got {value!r}")
+            elif not value > 0:
+                raise ValueError(f"{what} must be positive, got {value!r}")
+            # NaN failed above, so what is left beyond float range is +inf.
+            if value == math.inf:
+                raise ValueError(f"{what} must be finite, got inf")
             _set(self, name, value)
 
 

@@ -165,6 +165,7 @@ class ExperimentConfig(Value):
             )
         if preset is not None:
             _check_int(preset, "preset")
+            _check_preset(preset)
         if seed < 0:
             raise ConfigError("seed", f"must be non-negative, got {seed}")
         if max_steps < 1:
@@ -492,19 +493,24 @@ def run_batch(
 
 # Built-in experiments: id -> (scheme, derived two-disc layout, description).
 PRESETS = {
-    1: (LearningScheme.lrp(0.7), False, "reward and penalty, open workspace"),
-    2: (LearningScheme.lri(0.7), False, "reward only (failures ignored), open workspace"),
-    3: (LearningScheme.penalty_only(0.7), False, "penalty only (successes ignored), open workspace"),
-    4: (LearningScheme.lrp(0.7), True, "reward and penalty, two discs blocking the direct path"),
+    1: (LearningScheme("lrp", 0.7), False, "reward and penalty, open workspace"),
+    2: (LearningScheme("lri", 0.7), False, "reward only (failures ignored), open workspace"),
+    3: (LearningScheme("penalty_only", 0.0, 0.7), False, "penalty only (successes ignored), open workspace"),
+    4: (LearningScheme("lrp", 0.7), True, "reward and penalty, two discs blocking the direct path"),
 }
 
 
-def preset_config(preset: int, seed: int) -> ExperimentConfig:
-    """Expand one of the built-in experiment presets of ``PRESETS``."""
+def _check_preset(preset) -> None:
+    # type() and not isinstance(): True == 1, and [1] is unhashable.
     if type(preset) is not int or preset not in PRESETS:
         raise ConfigError(
             "preset", f"unknown preset {preset!r}; valid presets are {min(PRESETS)}-{max(PRESETS)}"
         )
+
+
+def preset_config(preset: int, seed: int) -> ExperimentConfig:
+    """Expand one of the built-in experiment presets of ``PRESETS``."""
+    _check_preset(preset)
     scheme, auto_blocking_pair, _ = PRESETS[preset]
     return ExperimentConfig(
         scheme=scheme,

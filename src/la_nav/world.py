@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Value, _set
+from ._value import Value, _number, _set
 
 GOAL_TOLERANCE_CM = 2.0
 DEFAULT_MIN_START_DISTANCE_CM = 20.0
@@ -21,11 +21,8 @@ MAX_MAGNITUDE_CM = 1e150
 
 
 def _finite(value: float, what: str) -> float:
-    """``value`` as a float; ValueError unless it is finite and within ``MAX_MAGNITUDE_CM``."""
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"{what} must be finite, got an integer beyond float range") from None
+    """``value`` as a float; ValueError unless it is a finite number within ``MAX_MAGNITUDE_CM``."""
+    number = _number(value, what)
     if not abs(number) <= MAX_MAGNITUDE_CM:
         raise ValueError(
             f"{what} must be finite and at most {MAX_MAGNITUDE_CM:g} cm in magnitude, got {value!r}"

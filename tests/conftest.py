@@ -86,7 +86,7 @@ def first_move_blocked_config() -> ExperimentConfig:
     uniform start probabilities.
     """
     return ExperimentConfig(
-        scheme=LearningScheme.lri(0.7),
+        scheme=LearningScheme("lri", 0.7),
         seed=1,
         world=WorldSpec(goal=(30.0, 5.0), obstacles=(CircleObstacle((0.0, 4.0), 1.5),)),
         max_steps=400,
@@ -96,7 +96,7 @@ def first_move_blocked_config() -> ExperimentConfig:
 def zero_reward_general_config() -> ExperimentConfig:
     """General scheme with reward rate 0: every success, row 1's included for seed 3, repeats the probabilities."""
     return ExperimentConfig(
-        scheme=LearningScheme.general(0.0, 0.4), seed=3, world=WorldSpec(goal=(30.0, 5.0)), max_steps=400
+        scheme=LearningScheme("general", 0.0, 0.4), seed=3, world=WorldSpec(goal=(30.0, 5.0)), max_steps=400
     )
 
 

@@ -127,11 +127,28 @@ class TestSModelUpdate:
 
 class TestLearningScheme:
     def test_constructors(self):
-        assert LearningScheme.lrp(0.7) == LearningScheme(SchemeKind.LRP, 0.7, 0.7)
-        assert LearningScheme.lri(0.7).penalty_rate == 0.0
-        assert LearningScheme.penalty_only(0.7).reward_rate == 0.0
-        assert LearningScheme.general(0.3, 0.6).kind is SchemeKind.GENERAL_P
+        # A family fills in the rate it fixes; the kind may be given by its string value.
+        assert LearningScheme("lrp", 0.7) == LearningScheme(SchemeKind.LRP, 0.7, 0.7)
+        assert LearningScheme("lrp", penalty_rate=0.7) == LearningScheme(SchemeKind.LRP, 0.7, 0.7)
+        assert LearningScheme("lri", 0.7).penalty_rate == 0.0
+        assert LearningScheme("penalty_only", penalty_rate=0.7).reward_rate == 0.0
+        assert LearningScheme("general", 0.3, 0.6).kind is SchemeKind.GENERAL_P
         assert LearningScheme("lri", 0.7, 0.0).kind is SchemeKind.LRI
+
+    @pytest.mark.parametrize(
+        "kind,rates,message",
+        [
+            ("lrp", {}, "reward-penalty scheme needs a rate"),
+            ("lri", {"penalty_rate": 0.0}, "reward-inaction scheme needs a reward rate"),
+            ("penalty_only", {"reward_rate": 0.0}, "penalty-only scheme needs a penalty rate"),
+            ("general", {"reward_rate": 0.5}, "general scheme needs both a reward and a penalty rate"),
+            ("general", {"penalty_rate": 0.5}, "general scheme needs both a reward and a penalty rate"),
+        ],
+    )
+    def test_missing_rate_names_the_family(self, kind, rates, message):
+        with pytest.raises(ValueError) as err:
+            LearningScheme(kind, **rates)
+        assert str(err.value) == message
 
     def test_lrp_requires_equal_rates(self):
         with pytest.raises(ValueError):
@@ -155,31 +172,31 @@ class TestLearningScheme:
     @pytest.mark.parametrize("a,b", [(-0.1, 0.5), (1.1, 0.5), (0.5, -0.1), (0.5, 1.1)])
     def test_rates_bounded(self, a, b):
         with pytest.raises(ValueError):
-            LearningScheme.general(a, b)
+            LearningScheme("general", a, b)
 
 
 class TestApplyFeedback:
     def test_success_takes_favorable_path(self):
-        scheme = LearningScheme.lrp(0.7)
+        scheme = LearningScheme("lrp", 0.7)
         out = apply_feedback(UNIFORM6, 2, 0, scheme)
         assert out == update_p_favorable(UNIFORM6, 2, 0.7)
 
     def test_failure_takes_unfavorable_path(self):
-        scheme = LearningScheme.lrp(0.7)
+        scheme = LearningScheme("lrp", 0.7)
         out = apply_feedback(UNIFORM6, 2, 1, scheme)
         assert out == update_p_unfavorable(UNIFORM6, 2, 0.7)
 
     def test_reward_inaction_ignores_failures(self):
-        scheme = LearningScheme.lri(0.7)
+        scheme = LearningScheme("lri", 0.7)
         assert apply_feedback(UNIFORM6, 2, 1, scheme) is UNIFORM6
 
     def test_rejects_flags_other_than_zero_or_one(self):
         for flag in (2, -1):
             with pytest.raises(ValueError):
-                apply_feedback(UNIFORM6, 2, flag, LearningScheme.lrp(0.7))
+                apply_feedback(UNIFORM6, 2, flag, LearningScheme("lrp", 0.7))
 
     def test_updates_return_plain_tuples(self):
-        out = apply_feedback(UNIFORM6, 2, 0, LearningScheme.lrp(0.7))
+        out = apply_feedback(UNIFORM6, 2, 0, LearningScheme("lrp", 0.7))
         assert type(out) is tuple and len(out) == 6
 
 

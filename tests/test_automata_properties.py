@@ -76,15 +76,15 @@ def test_rate_zero_update_returns_its_input_bit_for_bit(p, chosen_frac, other_ra
     for out in (
         update_p_favorable(p, chosen, 0.0),
         update_p_unfavorable(p, chosen, 0.0),
-        apply_feedback(p, chosen, 0, LearningScheme.general(0.0, other_rate)),
-        apply_feedback(p, chosen, 1, LearningScheme.general(other_rate, 0.0)),
+        apply_feedback(p, chosen, 0, LearningScheme("general", 0.0, other_rate)),
+        apply_feedback(p, chosen, 1, LearningScheme("general", other_rate, 0.0)),
     ):
         assert [v.hex() for v in out] == bits
 
 
 @given(p=probability_vectors())
 def test_reward_inaction_failure_is_identity(p):
-    scheme = LearningScheme.lri(0.7)
+    scheme = LearningScheme("lri", 0.7)
     assert apply_feedback(p, 1, 1, scheme) is p
 
 

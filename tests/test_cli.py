@@ -18,6 +18,8 @@ from la_nav import (
     ConfigError,
     ExperimentConfig,
     LearningScheme,
+    RobotParams,
+    SchemeKind,
     WorldSpec,
     config_digest,
     preset_config,
@@ -61,7 +63,7 @@ class TestParseConfig:
         config = parse_config(path)
         assert config.preset == 1
         assert config.seed == 42
-        assert config.scheme == LearningScheme.lrp(0.7)
+        assert config.scheme == LearningScheme("lrp", 0.7)
         assert config.world.goal is None
         assert config.max_steps == 5000
 
@@ -69,7 +71,8 @@ class TestParseConfig:
         path = write_config(tmp_path, {"preset": 1, "seed": 1, "scheme": {"a": 1.5}})
         with pytest.raises(ConfigError) as err:
             parse_config(path)
-        assert err.value.field == "scheme.a"
+        assert err.value.field == "scheme"
+        assert str(err.value) == "config field 'scheme': reward rate 1.5 outside [0, 1]"
 
     def test_preset_obstacle_override_replaces_auto_layout(self, tmp_path):
         override = [
@@ -145,16 +148,55 @@ class TestParseConfig:
 
     def test_scheme_kind_shortcuts(self, tmp_path):
         lri = parse_config(write_config(tmp_path, {"seed": 1, "scheme": {"kind": "lri", "a": 0.5}}, "a.json"))
-        assert lri.scheme == LearningScheme.lri(0.5)
+        assert lri.scheme == LearningScheme("lri", 0.5)
         pen = parse_config(write_config(tmp_path, {"seed": 1, "scheme": {"kind": "penalty_only", "b": 0.4}}, "b.json"))
-        assert pen.scheme == LearningScheme.penalty_only(0.4)
+        assert pen.scheme == LearningScheme("penalty_only", penalty_rate=0.4)
         lrp = parse_config(write_config(tmp_path, {"seed": 1, "scheme": {"kind": "lrp", "a": 0.6}}, "c.json"))
-        assert lrp.scheme == LearningScheme.lrp(0.6)
+        assert lrp.scheme == LearningScheme("lrp", 0.6)
+
+    @pytest.mark.parametrize("kind", [k.value for k in SchemeKind])
+    @pytest.mark.parametrize(
+        "rates",
+        [{"a": 0.6}, {"b": 0.6}, {"a": 0.6, "b": 0.6}, {}, {"a": 1.5}, {"b": -0.5}],
+        ids=["only-a", "only-b", "both", "neither", "a-out-of-range", "b-out-of-range"],
+    )
+    def test_scheme_section_follows_the_library(self, kind, rates):
+        # One rule: the config builds the scheme the library builds from the
+        # same rates, or fails under field 'scheme' with the library's text.
+        overrides = {"seed": 1, "scheme": {"kind": kind, **rates}}
+        try:
+            expected = LearningScheme(kind, rates.get("a"), rates.get("b"))
+        except ValueError as exc:
+            with pytest.raises(ConfigError) as err:
+                parse_config(overrides=overrides)
+            assert str(err.value) == f"config field 'scheme': {exc}"
+        else:
+            assert parse_config(overrides=overrides).scheme == expected
 
     def test_general_scheme_needs_both_rates(self, tmp_path):
         path = write_config(tmp_path, {"seed": 1, "scheme": {"a": 0.5}})
         with pytest.raises(ConfigError):
             parse_config(path)
+
+    def test_equal_configs_write_equal_echoes(self, tmp_path):
+        # Numbers are stored as floats, and -0.0 as 0.0, so configs that
+        # compare equal give one digest, and the echo parses back.
+        ints = ExperimentConfig(
+            LearningScheme("lri", 1, -0.0),
+            seed=1,
+            robot=RobotParams(wheel_radius=3),
+            world=WorldSpec(goal=(30, -0.0)),
+        )
+        floats = ExperimentConfig(
+            LearningScheme("lri", 1.0),
+            seed=1,
+            robot=RobotParams(wheel_radius=3.0),
+            world=WorldSpec(goal=(30.0, 0.0)),
+        )
+        assert ints == floats
+        assert config_digest(ints) == config_digest(floats)
+        assert json.dumps(ints.to_dict()) == json.dumps(floats.to_dict())
+        assert parse_config(write_config(tmp_path, ints.to_dict())) == ints
 
     def test_scheme_required_without_preset(self, tmp_path):
         path = write_config(tmp_path, {"seed": 1})
@@ -336,7 +378,7 @@ class TestArtifacts:
     def test_zero_step_run_emits_headers_only(self, tmp_path):
         record = run_episode(
             ExperimentConfig(
-                scheme=LearningScheme.lrp(0.7), seed=1, world=WorldSpec(goal=(0.5, 0.5))
+                scheme=LearningScheme("lrp", 0.7), seed=1, world=WorldSpec(goal=(0.5, 0.5))
             )
         )
         emit_artifacts(record, tmp_path)
@@ -500,6 +542,12 @@ class TestMain:
         assert captured.err.splitlines() == [f"error: [Errno 17] File exists: '{path}'"]
         assert "Traceback" not in captured.err
         assert captured.out == ""
+        if blocker == "seed_2":
+            # The batch ends at the failing seed: seeds before it keep their
+            # files, later seeds never run, and no batch_summary.json is written.
+            assert sorted(p.name for p in (out / "seed_1").iterdir()) == sorted(ARTIFACT_NAMES)
+            assert not (out / "seed_3").exists()
+            assert not (out / "batch_summary.json").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -46,7 +46,7 @@ COVERED_BOUNDS = WorldSpec(
 
 def pinned_goal_config(goal=(40.0, 0.0), seed=1, **kwargs):
     defaults = dict(
-        scheme=LearningScheme.lrp(0.7),
+        scheme=LearningScheme("lrp", 0.7),
         seed=seed,
         world=WorldSpec(goal=goal),
     )
@@ -324,6 +324,8 @@ class TestConfigValidation:
             ({"max_steps": True}, "max_steps", "expected an integer, got True"),
             ({"feedback_literal_eq10": 1}, "feedback_literal_eq10", "expected true/false, got 1"),
             ({"preset": True}, "preset", "expected an integer, got True"),
+            ({"preset": 99}, "preset", "unknown preset 99; valid presets are 1-4"),
+            ({"preset": -1}, "preset", "unknown preset -1; valid presets are 1-4"),
         ],
         ids=[
             "seed",
@@ -335,6 +337,8 @@ class TestConfigValidation:
             "max_steps-bool",
             "literal-int",
             "preset-bool",
+            "preset-unknown",
+            "preset-negative",
         ],
     )
     def test_rejects_negative_seed_and_empty_budget(self, kwargs, field, message):
@@ -351,7 +355,7 @@ class TestConfigValidation:
         # Built, not run: each would drive about 1e308 steps. The heading
         # stays 0 for a still robot and below about 6e8 rad for the other.
         config = ExperimentConfig(
-            scheme=LearningScheme.lrp(0.7), seed=1, robot=robot, max_steps=10**308
+            scheme=LearningScheme("lrp", 0.7), seed=1, robot=robot, max_steps=10**308
         )
         assert config.max_steps == 10**308
 
@@ -409,7 +413,7 @@ class TestBatch:
         assert first.seed == 1
 
     def test_infeasible_seed_recorded_not_raised(self):
-        template = ExperimentConfig(scheme=LearningScheme.lrp(0.7), seed=0, world=COVERED_BOUNDS)
+        template = ExperimentConfig(scheme=LearningScheme("lrp", 0.7), seed=0, world=COVERED_BOUNDS)
         outcomes = list(run_batch(template, [1, 2]))
         assert [type(o) for o in outcomes] == [SeedFailure] * 2
         assert [f.seed for f in outcomes] == [1, 2]

@@ -61,7 +61,7 @@ REPRS = [
     ),
     (
         lambda: RobotParams(wheel_radius=3, axle_length=10.5),
-        "RobotParams(wheel_radius=3, axle_length=10.5, wheel_speed=2.0, action_duration=0.5)",
+        "RobotParams(wheel_radius=3.0, axle_length=10.5, wheel_speed=2.0, action_duration=0.5)",
     ),
     (lambda: Bounds(-1, -2, 3, 4), "Bounds(x_min=-1.0, y_min=-2.0, x_max=3.0, y_max=4.0)"),
     (lambda: CircleObstacle((1, 2), 3), "CircleObstacle(center=(1.0, 2.0), radius=3.0)"),
@@ -132,6 +132,25 @@ def test_equal_instances_compare_equal_and_assignment_raises(build):
 )
 def test_equal_instances_hash_equal(build):
     assert hash(build()) == hash(build())
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: LearningScheme("lrp", True), "reward rate must be a number, got True"),
+        (lambda: LearningScheme("general", 0.5, False), "penalty rate must be a number, got False"),
+        (lambda: RobotParams(wheel_radius=True), "wheel radius must be a number, got True"),
+        (lambda: CircleObstacle((0, 0), True), "circle radius must be a number, got True"),
+        (lambda: Bounds(x_max="100"), "bounds x_max must be a number, got '100'"),
+    ],
+    ids=["reward-rate", "penalty-rate", "wheel-radius", "circle-radius", "bounds-str"],
+)
+def test_numbers_reject_bool_and_non_numbers(build, message):
+    # A stored True would echo as true, which --config rejects; every value
+    # type takes its numbers through one rule.
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_unequal_fields_compare_unequal():
