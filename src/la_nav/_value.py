@@ -5,17 +5,22 @@ storage in ``__slots__``. Its ``__init__`` checks and normalises the values
 and stores each one with ``_set(self, name, value)``.
 """
 
+import math
+
 _set = object.__setattr__
 
 
 def _number(value, what: str) -> float:
-    """``value`` as a float, -0.0 as 0.0; ValueError for a bool, a non-number or an int beyond float range."""
+    """``value`` as a finite float, -0.0 as 0.0; ValueError for a bool, a non-number or a non-finite value."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value) + 0.0
+        number = float(value) + 0.0
     except OverflowError:
         raise ValueError(f"{what} must be finite, got an integer beyond float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 class Value:

@@ -72,6 +72,11 @@ class LearningScheme(Value):
     for ``lri`` (penalty) and ``penalty_only`` (reward) as 0; ``general`` fills
     in nothing. A rate still missing is a ``ValueError`` naming the family.
     Both rates are stored as floats.
+
+    ``replace`` passes every unchanged rate back, so nothing is filled in and
+    the family checks apply to both rates: ``replace(reward_rate=0.5)`` on an
+    ``lrp`` scheme fails. To change an ``lrp`` rate, build a new scheme,
+    ``LearningScheme("lrp", 0.5)``, or replace both rates.
     """
 
     __slots__ = _fields = ("kind", "reward_rate", "penalty_rate")

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -42,7 +41,7 @@ from .runner import (
     run_episode,
     summarize,
 )
-from .world import Bounds, CircleObstacle, RectObstacle, distance_to_goal
+from .world import Bounds, CircleObstacle, RectObstacle, _point, distance_to_goal
 
 SEED_ENV_VAR = "LA_NAV_SEED"
 
@@ -66,24 +65,6 @@ def _reject_unknown(value, allowed: set, path: str) -> None:
             raise ConfigError(where, f"unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
-def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigError(path, "expected a finite number, got an integer beyond float range") from None
-    if not math.isfinite(number):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
-    return number
-
-
-def _as_point(value, path: str) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(path, f"expected [x, y], got {value!r}")
-    return _as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]")
-
-
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for key, value in override.items():
@@ -94,6 +75,14 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ValueError becomes a ConfigError for ``path``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _build_scheme(data: dict) -> LearningScheme:
     _reject_unknown(data, _SCHEME_KEYS, "scheme")
     kind_raw = data.get("kind", "general")
@@ -102,22 +91,17 @@ def _build_scheme(data: dict) -> LearningScheme:
     except ValueError:
         valid = ", ".join(k.value for k in SchemeKind)
         raise ConfigError("scheme.kind", f"unknown kind {kind_raw!r} (valid: {valid})") from None
-
-    # An absent rate is None: LearningScheme fills it in from the family or names it.
-    a, b = (_as_number(data[key], f"scheme.{key}") if key in data else None for key in "ab")
-    try:
-        return LearningScheme(kind, a, b)
-    except ValueError as exc:
-        raise ConfigError("scheme", str(exc)) from None
+    # LearningScheme reads a None rate as absent and fills it in, so a null is rejected here.
+    for key in "ab":
+        if key in data and data[key] is None:
+            raise ConfigError(f"scheme.{key}", "expected a number, got None")
+    return _build("scheme", LearningScheme, kind, data.get("a"), data.get("b"))
 
 
 def _build_robot(data: dict) -> RobotParams:
     _reject_unknown(data, ROBOT_KEYS, "robot")
-    params = {name: _as_number(data[key], f"robot.{key}") for key, name in ROBOT_KEYS.items() if key in data}
-    try:
-        return RobotParams(**params)
-    except ValueError as exc:
-        raise ConfigError("robot", str(exc)) from None
+    params = {name: data[key] for key, name in ROBOT_KEYS.items() if key in data}
+    return _build("robot", RobotParams, **params)
 
 
 def _build_obstacle(data, index: int):
@@ -125,34 +109,20 @@ def _build_obstacle(data, index: int):
     if not isinstance(data, dict):
         raise ConfigError(path, f"expected an object, got {data!r}")
     shape = data.get("shape")
-    try:
-        if shape == "circle":
-            _reject_unknown(data, _CIRCLE_KEYS, path)
-            return CircleObstacle(
-                center=_as_point(data.get("center"), f"{path}.center"),
-                radius=_as_number(data.get("radius"), f"{path}.radius"),
-            )
-        if shape == "rect":
-            _reject_unknown(data, _RECT_KEYS, path)
-            return RectObstacle(
-                min_corner=_as_point(data.get("min"), f"{path}.min"),
-                max_corner=_as_point(data.get("max"), f"{path}.max"),
-            )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
+    if shape == "circle":
+        _reject_unknown(data, _CIRCLE_KEYS, path)
+        return _build(path, CircleObstacle, data.get("center"), data.get("radius"))
+    if shape == "rect":
+        _reject_unknown(data, _RECT_KEYS, path)
+        return _build(path, RectObstacle, data.get("min"), data.get("max"))
     raise ConfigError(f"{path}.shape", f"expected 'circle' or 'rect', got {shape!r}")
 
 
 def _build_bounds(data: dict) -> Bounds:
     _reject_unknown(data, _BOUNDS_KEYS, "world.bounds")
-    if "min" not in data or "max" not in data:
-        raise ConfigError("world.bounds", "needs both 'min' and 'max' corners")
-    lo = _as_point(data["min"], "world.bounds.min")
-    hi = _as_point(data["max"], "world.bounds.max")
-    try:
-        return Bounds(lo[0], lo[1], hi[0], hi[1])
-    except ValueError as exc:
-        raise ConfigError("world.bounds", str(exc)) from None
+    lo = _build("world.bounds", _point, data.get("min"), "bounds min corner")
+    hi = _build("world.bounds", _point, data.get("max"), "bounds max corner")
+    return _build("world.bounds", Bounds, *lo, *hi)
 
 
 def _build_world_spec(data: dict) -> WorldSpec:
@@ -161,21 +131,18 @@ def _build_world_spec(data: dict) -> WorldSpec:
         raise ConfigError("world", "give either 'goal' or 'random_goal', not both")
 
     # WorldSpec gets only the keys the config gives; it owns the defaults.
-    spec: dict = {}
-    if "goal" in data:
-        spec["goal"] = _as_point(data["goal"], "world.goal")
+    spec = {key: data[key] for key in ("goal", "tolerance") if key in data}
+    # WorldSpec reads a None goal as a random one, so a null is rejected here.
+    if "goal" in spec and spec["goal"] is None:
+        raise ConfigError("world.goal", "expected [x, y], got None")
     if "random_goal" in data:
         directive = data["random_goal"]
         if isinstance(directive, dict):
             _reject_unknown(directive, {"min_start_distance"}, "world.random_goal")
             if "min_start_distance" in directive:
-                spec["min_start_distance"] = _as_number(
-                    directive["min_start_distance"], "world.random_goal.min_start_distance"
-                )
+                spec["min_start_distance"] = directive["min_start_distance"]
         elif directive is not True:
             raise ConfigError("world.random_goal", f"expected true or an object, got {directive!r}")
-    if "tolerance" in data:
-        spec["tolerance"] = _as_number(data["tolerance"], "world.tolerance")
     if "bounds" in data:
         spec["bounds"] = _build_bounds(data["bounds"])
     raw_obstacles = data.get("obstacles", [])
@@ -185,11 +152,7 @@ def _build_world_spec(data: dict) -> WorldSpec:
         spec["obstacles"] = tuple(_build_obstacle(o, i) for i, o in enumerate(raw_obstacles))
     else:
         raise ConfigError("world.obstacles", f"expected a list or 'auto', got {raw_obstacles!r}")
-
-    try:
-        return WorldSpec(**spec)
-    except ValueError as exc:
-        raise ConfigError("world", str(exc)) from None
+    return _build("world", WorldSpec, **spec)
 
 
 def _resolve_seed(data: dict, env: dict):

@@ -48,9 +48,6 @@ class RobotParams(Value):
                     raise ValueError(f"{what} must be non-negative, got {value!r}")
             elif not value > 0:
                 raise ValueError(f"{what} must be positive, got {value!r}")
-            # NaN failed above, so what is left beyond float range is +inf.
-            if value == math.inf:
-                raise ValueError(f"{what} must be finite, got inf")
             _set(self, name, value)
 
 

@@ -135,13 +135,14 @@ def _check_int(value, field: str) -> None:
 class ExperimentConfig(Value):
     """Everything that determines a run: scheme, robot, world recipe, seed.
 
-    Building a config checks it: a ``seed``, ``max_steps``, ``preset`` or
-    ``feedback_literal_eq10`` of the wrong type, a negative ``seed``, or a
-    ``max_steps`` below 1 or beyond float range, is a ``ConfigError`` for
-    that field, and a move-table entry that is not finite, or turns large
-    enough that the heading could leave float range within ``max_steps``,
-    is one for the field ``robot``. The checked table is kept in ``moves``
-    for the episode to drive with.
+    Building a config checks it: a ``scheme``, ``robot`` or ``world`` that is
+    not a ``LearningScheme``, ``RobotParams`` or ``WorldSpec``, a ``seed``,
+    ``max_steps``, ``preset`` or ``feedback_literal_eq10`` of the wrong type,
+    a negative ``seed``, or a ``max_steps`` below 1 or beyond float range, is
+    a ``ConfigError`` for that field, and a move-table entry that is not
+    finite, or turns large enough that the heading could leave float range
+    within ``max_steps``, is one for the field ``robot``. The checked table
+    is kept in ``moves`` for the episode to drive with.
     """
 
     _fields = ("scheme", "seed", "robot", "world", "max_steps", "feedback_literal_eq10", "preset")
@@ -157,6 +158,11 @@ class ExperimentConfig(Value):
         feedback_literal_eq10: bool = False,
         preset: int | None = None,
     ) -> None:
+        for field, value, kind in (
+            ("scheme", scheme, LearningScheme), ("robot", robot, RobotParams), ("world", world, WorldSpec)
+        ):
+            if not isinstance(value, kind):
+                raise ConfigError(field, f"expected a {kind.__name__}, got {value!r}")
         _check_int(seed, "seed")
         _check_int(max_steps, "max_steps")
         if not isinstance(feedback_literal_eq10, bool):
@@ -247,6 +253,8 @@ class RunRecord(Value):
         "terminated", "seed", "config_digest", "config", "world",
     )
     rng_algorithm = RNG_ALGORITHM
+    # Compared by value, but the array columns are mutable, so not hashable.
+    __hash__ = None
 
     def __init__(
         self,

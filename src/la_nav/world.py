@@ -31,7 +31,12 @@ def _finite(value: float, what: str) -> float:
 
 
 def _point(point: tuple[float, float], what: str) -> tuple[float, float]:
-    return _finite(point[0], what), _finite(point[1], what)
+    """``point`` as two ``_finite`` floats; ValueError unless it unpacks to exactly two items."""
+    try:
+        x, y = point
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be an [x, y] pair, got {point!r}") from None
+    return _finite(x, what), _finite(y, what)
 
 
 class Bounds(Value):

@@ -1,5 +1,7 @@
 """Unit tests for the automaton primitives: frozen examples and error paths."""
 
+import math
+
 import pytest
 
 from la_nav import (
@@ -63,6 +65,11 @@ class TestFavorableUpdate:
     def test_full_rate_absorbs(self):
         out = update_p_favorable(ProbabilityVector((0.5, 0.5)), 1, 1.0)
         assert out == (1.0, 0.0)
+
+    def test_drifted_sum_is_rescaled(self):
+        # The input sums to 1 + 2e-9, beyond SUM_TOLERANCE; the update rescales its result.
+        out = update_p_favorable((0.5, 0.5 + 2e-9), 1, 0.1)
+        assert abs(sum(out) - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("chosen", [0, 7, -1])
     def test_rejects_bad_index(self, chosen):
@@ -174,6 +181,14 @@ class TestLearningScheme:
         with pytest.raises(ValueError):
             LearningScheme("general", a, b)
 
+    def test_replace_checks_both_rates_against_the_family(self):
+        # replace passes the unchanged rate back, so lrp's equal-rate rule sees both.
+        lrp = LearningScheme("lrp", 0.7)
+        with pytest.raises(ValueError) as err:
+            lrp.replace(reward_rate=0.5)
+        assert str(err.value) == "reward-penalty scheme requires equal reward and penalty rates"
+        assert lrp.replace(reward_rate=0.5, penalty_rate=0.5) == LearningScheme("lrp", 0.5)
+
 
 class TestApplyFeedback:
     def test_success_takes_favorable_path(self):
@@ -220,3 +235,7 @@ class TestSelectAction:
 
     def test_boundary_draw_takes_lower_bucket(self):
         assert select_action(ProbabilityVector((0.2, 0.8)), 0.2) == 1
+
+    def test_rounding_shortfall_returns_last_positive_action(self):
+        # The positive components sum to 1 - 2**-52, below the draw 1 - 2**-53.
+        assert select_action((0.5, 0.5 - 2**-52, 0.0), math.nextafter(1.0, 0.0)) == 2

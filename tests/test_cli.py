@@ -685,12 +685,21 @@ class TestMain:
                 ["batch", "--preset", "1", "--seeds", "1..1000000000000000000000000000000"],
                 "error: config field 'seeds': range '1..1000000000000000000000000000000' holds more than",
             ),
+            (
+                ["run", "--config", "array.json"],
+                "error: config field '{dir}/array.json': top level must be a JSON object",
+            ),
+            (
+                ["batch", "--preset", "1", "--seeds", "abc"],
+                "error: config field 'seeds': expected A..B or a single integer, got 'abc'",
+            ),
         ],
-        ids=["long-integer", "deep-nesting", "seed-range-overflow"],
+        ids=["long-integer", "deep-nesting", "seed-range-overflow", "top-level-array", "seed-range-text"],
     )
     def test_unreadable_input_exits_with_one_error_line(self, tmp_path, capsys, verb, prefix):
         (tmp_path / "digits.json").write_text('{"seed": 1' + "0" * 5000 + "}")
         (tmp_path / "deep.json").write_text("[" * 100_000)
+        (tmp_path / "array.json").write_text("[1, 2]")
         out = tmp_path / "o"
         argv = [str(tmp_path / a) if a.endswith(".json") else a for a in verb]
         code = main(argv + ["--out", str(out)])
@@ -716,32 +725,50 @@ class TestMain:
         assert "Traceback" not in err
         assert not out.exists()
 
+    # Each id names the config key that holds the bad number; the error names
+    # the section and the field, in the words of the type that holds it.
     @pytest.mark.parametrize(
-        "config,field",
+        "config,field,message",
         [
-            ({"robot": {"c": float("nan")}}, "robot.c"),
-            ({"world": {"tolerance": float("inf")}}, "world.tolerance"),
-            ({"world": {"goal": [float("-inf"), 0.0]}}, "world.goal[0]"),
-            (
-                {"world": {"obstacles": [{"shape": "circle", "center": [10, 10], "radius": float("nan")}]}},
-                "world.obstacles[0].radius",
+            pytest.param(
+                {"robot": {"c": float("nan")}}, "robot", "wheel radius must be finite, got nan",
+                id="config0-robot.c",
             ),
-            ({"robot": {"T": 10**400}}, "robot.T"),
-            ({"world": {"bounds": {"min": [1e308, -1e308], "max": [1.7e308, 1e308]}}}, "world.bounds"),
+            pytest.param(
+                {"world": {"tolerance": float("inf")}}, "world", "tolerance must be finite, got inf",
+                id="config1-world.tolerance",
+            ),
+            pytest.param(
+                {"world": {"goal": [float("-inf"), 0.0]}}, "world.goal", "goal must be finite, got -inf",
+                id="config2-world.goal[0]",
+            ),
+            pytest.param(
+                {"world": {"obstacles": [{"shape": "circle", "center": [10, 10], "radius": float("nan")}]}},
+                "world.obstacles[0]",
+                "circle radius must be finite, got nan",
+                id="config3-world.obstacles[0].radius",
+            ),
+            pytest.param(
+                {"robot": {"T": 10**400}},
+                "robot",
+                "action duration must be finite, got an integer beyond float range",
+                id="config4-robot.T",
+            ),
+            # The bounds corners are finite JSON numbers, but beyond the world's magnitude cap.
+            pytest.param(
+                {"world": {"bounds": {"min": [1e308, -1e308], "max": [1.7e308, 1e308]}}},
+                "world.bounds",
+                "bounds min corner must be finite and at most 1e+150 cm in magnitude, got 1e+308",
+                id="config5-world.bounds",
+            ),
         ],
     )
-    def test_non_finite_config_number_exits_nonzero(self, tmp_path, capsys, config, field):
+    def test_non_finite_config_number_exits_nonzero(self, tmp_path, capsys, config, field, message):
         path = write_config(tmp_path, {"preset": 4, "seed": 1, **config})
         code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         assert code == 1
         captured = capsys.readouterr()
-        # The bounds corners are finite JSON numbers, but beyond the world's magnitude cap.
-        message = "expected a finite number"
-        if field == "world.bounds":
-            message = "bounds x_min must be finite and at most 1e+150 cm"
-        assert captured.err.startswith(f"error: config field '{field}': {message}")
-        assert captured.err.count("error:") == 1
-        assert "Traceback" not in captured.err
+        assert captured.err == f"error: config field '{field}': {message}\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -787,6 +814,26 @@ class TestMain:
                 )
                 for bounds in (5, None, "ab", [1, 2])
             ),
+            (
+                {"preset": 1, "world": {"random_goal": {"min_start_distance": -1}}},
+                "error: config field 'world': min start distance must be non-negative, got -1.0",
+            ),
+            (
+                {"preset": 1, "world": {"random_goal": 5}},
+                "error: config field 'world.random_goal': expected true or an object, got 5",
+            ),
+            (
+                {"preset": 1, "world": {"obstacles": 5}},
+                "error: config field 'world.obstacles': expected a list or 'auto', got 5",
+            ),
+            (
+                {"preset": 1, "world": {"obstacles": [5]}},
+                "error: config field 'world.obstacles[0]': expected an object, got 5",
+            ),
+            (
+                {"preset": 1, "world": {"obstacles": [{"shape": "hex"}]}},
+                "error: config field 'world.obstacles[0].shape': expected 'circle' or 'rect', got 'hex'",
+            ),
         ],
         ids=[
             "robot",
@@ -799,6 +846,11 @@ class TestMain:
             "bounds-null",
             "bounds-string",
             "bounds-list",
+            "negative-min-start-distance",
+            "random-goal-number",
+            "obstacles-number",
+            "obstacle-number",
+            "obstacle-unknown-shape",
         ],
     )
     def test_batch_seed_independent_error_fails_once(self, tmp_path, capsys, config, prefix):
@@ -843,6 +895,15 @@ class TestMain:
         assert main(["run", "--preset", "1", "--out", str(out)]) == 0
         doc = json.loads((out / "summary.json").read_text())
         assert doc["seed"] == 42
+
+    def test_non_integer_seed_env_exits_nonzero(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("LA_NAV_SEED", "4.5")
+        code = main(["run", "--preset", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config field 'seed': LA_NAV_SEED must be an integer, got '4.5'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
 
     def test_literal_flag_recorded_in_config_echo(self, tmp_path):
         out = tmp_path / "lit"

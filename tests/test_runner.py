@@ -326,6 +326,9 @@ class TestConfigValidation:
             ({"preset": True}, "preset", "expected an integer, got True"),
             ({"preset": 99}, "preset", "unknown preset 99; valid presets are 1-4"),
             ({"preset": -1}, "preset", "unknown preset -1; valid presets are 1-4"),
+            ({"scheme": None}, "scheme", "expected a LearningScheme, got None"),
+            ({"robot": {"c": 3.0}}, "robot", "expected a RobotParams, got {'c': 3.0}"),
+            ({"world": None}, "world", "expected a WorldSpec, got None"),
         ],
         ids=[
             "seed",
@@ -339,6 +342,9 @@ class TestConfigValidation:
             "preset-bool",
             "preset-unknown",
             "preset-negative",
+            "scheme-none",
+            "robot-dict",
+            "world-none",
         ],
     )
     def test_rejects_negative_seed_and_empty_budget(self, kwargs, field, message):

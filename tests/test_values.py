@@ -5,6 +5,7 @@ import pickle
 import sys
 from array import array
 
+import numpy as np
 import pytest
 
 from la_nav import (
@@ -134,6 +135,14 @@ def test_equal_instances_hash_equal(build):
     assert hash(build()) == hash(build())
 
 
+def test_run_record_compares_by_value_but_is_not_hashable():
+    # Its array columns are mutable, so a hash could change under a set or dict.
+    assert small_record() == small_record()
+    with pytest.raises(TypeError) as err:
+        hash(small_record())
+    assert str(err.value) == "unhashable type: 'RunRecord'"
+
+
 @pytest.mark.parametrize(
     "build,message",
     [
@@ -142,8 +151,20 @@ def test_equal_instances_hash_equal(build):
         (lambda: RobotParams(wheel_radius=True), "wheel radius must be a number, got True"),
         (lambda: CircleObstacle((0, 0), True), "circle radius must be a number, got True"),
         (lambda: Bounds(x_max="100"), "bounds x_max must be a number, got '100'"),
+        # NaN and ±inf, and a point that is not two items, are rejected by the types too.
+        (lambda: LearningScheme("lrp", float("nan")), "reward rate must be finite, got nan"),
+        (lambda: RobotParams(wheel_speed=float("inf")), "wheel speed must be finite, got inf"),
+        (lambda: Bounds(x_min=float("-inf")), "bounds x_min must be finite, got -inf"),
+        (lambda: CircleObstacle((1, 2, 3), 1), "circle center must be an [x, y] pair, got (1, 2, 3)"),
+        (lambda: CircleObstacle(5, 1), "circle center must be an [x, y] pair, got 5"),
+        (lambda: RectObstacle([0], (1, 1)), "rectangle min corner must be an [x, y] pair, got [0]"),
+        (lambda: World(None), "goal must be an [x, y] pair, got None"),
     ],
-    ids=["reward-rate", "penalty-rate", "wheel-radius", "circle-radius", "bounds-str"],
+    ids=[
+        "reward-rate", "penalty-rate", "wheel-radius", "circle-radius", "bounds-str",
+        "nan-rate", "inf-speed", "inf-bounds", "point-three-items", "point-number", "point-one-item",
+        "point-none",
+    ],
 )
 def test_numbers_reject_bool_and_non_numbers(build, message):
     # A stored True would echo as true, which --config rejects; every value
@@ -151,6 +172,11 @@ def test_numbers_reject_bool_and_non_numbers(build, message):
     with pytest.raises(ValueError) as err:
         build()
     assert str(err.value) == message
+
+
+def test_points_take_a_tuple_a_list_or_a_numpy_pair():
+    expected = CircleObstacle((1.0, 2.0), 3)
+    assert CircleObstacle([1, 2], 3) == CircleObstacle(np.array([1.0, 2.0]), 3) == expected
 
 
 def test_unequal_fields_compare_unequal():
