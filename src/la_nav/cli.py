@@ -36,7 +36,7 @@ from .runner import (
     RunRecord,
     SeedFailure,
     WorldSpec,
-    preset_config,
+    _check_preset,
     run_batch,
     run_episode,
     summarize,
@@ -65,16 +65,6 @@ def _reject_unknown(value, allowed: set, path: str) -> None:
             raise ConfigError(where, f"unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
-        else:
-            out[key] = value
-    return out
-
-
 def _build(path: str, make, *args, **kwargs):
     """``make(*args, **kwargs)``; its ValueError becomes a ConfigError for ``path``."""
     try:
@@ -83,9 +73,10 @@ def _build(path: str, make, *args, **kwargs):
         raise ConfigError(path, str(exc)) from None
 
 
-def _build_scheme(data: dict) -> LearningScheme:
+def _build_scheme(data: dict, preset: LearningScheme | None) -> LearningScheme:
+    """The section as read alone, kind defaulting to ``preset``'s; if that fails, ``preset``'s rates fill gaps."""
     _reject_unknown(data, _SCHEME_KEYS, "scheme")
-    kind_raw = data.get("kind", "general")
+    kind_raw = data.get("kind", "general" if preset is None else preset.kind)
     try:
         kind = SchemeKind(kind_raw)
     except ValueError:
@@ -95,7 +86,13 @@ def _build_scheme(data: dict) -> LearningScheme:
     for key in "ab":
         if key in data and data[key] is None:
             raise ConfigError(f"scheme.{key}", "expected a number, got None")
-    return _build("scheme", LearningScheme, kind, data.get("a"), data.get("b"))
+    a, b = data.get("a"), data.get("b")
+    if preset is not None:
+        try:
+            return LearningScheme(kind, a, b)
+        except ValueError:
+            a, b = data.get("a", preset.reward_rate), data.get("b", preset.penalty_rate)
+    return _build("scheme", LearningScheme, kind, a, b)
 
 
 def _build_robot(data: dict) -> RobotParams:
@@ -120,12 +117,13 @@ def _build_obstacle(data, index: int):
 
 def _build_bounds(data: dict) -> Bounds:
     _reject_unknown(data, _BOUNDS_KEYS, "world.bounds")
-    lo = _build("world.bounds", _point, data.get("min"), "bounds min corner")
-    hi = _build("world.bounds", _point, data.get("max"), "bounds max corner")
+    d = Bounds()  # a corner left out is the default's
+    lo = _build("world.bounds", _point, data.get("min", (d.x_min, d.y_min)), "bounds min corner")
+    hi = _build("world.bounds", _point, data.get("max", (d.x_max, d.y_max)), "bounds max corner")
     return _build("world.bounds", Bounds, *lo, *hi)
 
 
-def _build_world_spec(data: dict) -> WorldSpec:
+def _build_world_spec(data: dict, auto_blocking_pair: bool) -> WorldSpec:
     _reject_unknown(data, _WORLD_KEYS, "world")
     if "goal" in data and "random_goal" in data:
         raise ConfigError("world", "give either 'goal' or 'random_goal', not both")
@@ -145,7 +143,7 @@ def _build_world_spec(data: dict) -> WorldSpec:
             raise ConfigError("world.random_goal", f"expected true or an object, got {directive!r}")
     if "bounds" in data:
         spec["bounds"] = _build_bounds(data["bounds"])
-    raw_obstacles = data.get("obstacles", [])
+    raw_obstacles = data.get("obstacles", "auto" if auto_blocking_pair else [])
     if raw_obstacles == "auto":
         spec["auto_blocking_pair"] = True
     elif isinstance(raw_obstacles, list):
@@ -173,10 +171,12 @@ def parse_config(
 ) -> ExperimentConfig:
     """Load, merge and validate a run configuration from the JSON file ``path``.
 
-    ``overrides`` (typically CLI flags) win over file keys, which win over
-    preset defaults. A ``None`` override, and a ``null`` preset or seed,
-    count as absent, so the ``config`` echo of ``summary.json`` parses back
-    to the same config. Unknown keys are rejected with their field path.
+    ``overrides`` (typically CLI flags) win over file keys. A preset gives
+    a scheme, which a ``scheme`` section overrides (see ``_build_scheme``),
+    and the derived disc pair, unless ``world.obstacles`` is given; every
+    other default is its type's. A ``None`` override, and a ``null`` preset
+    or seed, count as absent, so the ``config`` echo of ``summary.json``
+    parses back to the same config. Unknown keys are rejected with their field path.
     """
     env = os.environ if env is None else env
     if path is not None:
@@ -204,20 +204,16 @@ def parse_config(
     _reject_unknown(data, _TOP_KEYS, "")
 
     preset = data.get("preset")
+    scheme, auto_blocking_pair = None, False
     if preset is not None:
-        base = preset_config(preset, seed=0).to_dict()
-        del base["seed"]
-        # An explicit goal replaces the preset's random goal, not one the config gives too.
-        if isinstance(data.get("world"), dict) and "goal" in data["world"]:
-            del base["world"]["random_goal"]
-        data = _deep_merge(base, data)
-
-    if "scheme" not in data:
+        _check_preset(preset)
+        scheme, auto_blocking_pair, _ = PRESETS[preset]
+    if "scheme" in data:
+        scheme = _build_scheme(data["scheme"], scheme)
+    elif scheme is None:
         raise ConfigError("scheme", "required unless a preset is given")
-
-    scheme = _build_scheme(data["scheme"])
     robot = _build_robot(data.get("robot", {}))
-    world = _build_world_spec(data.get("world", {}))
+    world = _build_world_spec(data.get("world", {}), auto_blocking_pair)
     seed = _resolve_seed(data, env)
     # ExperimentConfig owns the defaults and type rules of the scalar keys.
     scalars = {key: data[key] for key in ("max_steps", "feedback_literal_eq10") if key in data}

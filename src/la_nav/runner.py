@@ -56,10 +56,13 @@ class WorldSpec(Value):
 
     ``auto_blocking_pair`` derives the two-disc blocking layout from the
     goal instead of using ``obstacles``. Building a spec checks everything
-    that does not depend on the seed: the start (0, 0) must lie inside the
-    bounds and outside every obstacle, an explicit goal must give a world
-    the robot can finish in, and some point of the bounds must lie
-    ``min_start_distance`` from the start for a random goal.
+    that does not depend on the seed: a ``bounds`` that is not a ``Bounds``,
+    an obstacle that is not a ``CircleObstacle`` or ``RectObstacle``, or an
+    ``auto_blocking_pair`` that is not a bool is a ``ConfigError`` for that
+    field; the start (0, 0) must lie inside the bounds and outside every
+    obstacle, an explicit goal must give a world the robot can finish in,
+    and some point of the bounds must lie ``min_start_distance`` from the
+    start for a random goal.
     """
 
     __slots__ = _fields = (
@@ -76,6 +79,17 @@ class WorldSpec(Value):
         auto_blocking_pair: bool = False,
     ) -> None:
         obstacles = tuple(obstacles)
+        if not isinstance(bounds, Bounds):
+            raise ConfigError("world.bounds", f"expected a Bounds, got {bounds!r}")
+        for obs in obstacles:
+            if not isinstance(obs, Obstacle):
+                raise ConfigError(
+                    "world.obstacles", f"expected a CircleObstacle or RectObstacle, got {obs!r}"
+                )
+        if not isinstance(auto_blocking_pair, bool):
+            raise ConfigError(
+                "world.auto_blocking_pair", f"expected true/false, got {auto_blocking_pair!r}"
+            )
         if goal is not None:
             try:
                 goal = _point(goal, "goal")

@@ -160,6 +160,11 @@ class World(Value):
         goal = _point(goal, "goal")
         goal_tolerance = _finite(goal_tolerance, "goal tolerance")
         obstacles = tuple(obstacles)
+        if not isinstance(bounds, Bounds):
+            raise ValueError(f"bounds must be a Bounds, got {bounds!r}")
+        for obs in obstacles:
+            if not isinstance(obs, Obstacle):
+                raise ValueError(f"obstacle must be a CircleObstacle or RectObstacle, got {obs!r}")
         if not goal_tolerance > 0:
             raise ValueError(f"goal tolerance must be positive, got {goal_tolerance!r}")
         gx, gy = goal
@@ -211,11 +216,12 @@ def resolve_motion(sx: float, sy: float, px: float, py: float, world: World) -> 
     """Whether the move from ``(sx, sy)`` to ``(px, py)`` is blocked.
 
     A blocked move is rejected wholesale and the robot stays at the start.
-    The move is blocked when its endpoint leaves the bounds (convex, so the
-    endpoint suffices) or its straight chord enters an obstacle's open
-    interior. The endpoint's own coordinates are tested first: the chord's
-    computed endpoint can round differently, and an accepted endpoint must
-    test outside every obstacle.
+    The move is blocked when its endpoint leaves the bounds or its straight
+    chord enters an obstacle's open interior. The bounds are convex, so the
+    endpoint suffices for the chord it tests; the driven arc can bulge up
+    to ~0.041 cm past the chord, and that is not tested. The endpoint's own
+    coordinates are tested first: the chord's computed endpoint can round
+    differently, and an accepted endpoint must test outside every obstacle.
     """
     obstacles = world.obstacles
     for obs in obstacles:

@@ -15,6 +15,7 @@ import pytest
 import la_nav
 
 from la_nav import (
+    Bounds,
     ConfigError,
     ExperimentConfig,
     LearningScheme,
@@ -57,7 +58,59 @@ FULL_WORLD_CONFIG = {
 }
 
 
+def _preset_echo(preset, kind=None, a=None, b=None):
+    """``to_dict()`` of preset ``preset`` at seed 1, with ``LearningScheme(kind, a, b)`` if ``kind``."""
+    config = preset_config(preset, seed=1)
+    if kind is not None:
+        config = config.replace(scheme=LearningScheme(kind, a, b))
+    return config.to_dict()
+
+
+# A preset gives its scheme; a scheme section is read as it would be without
+# one, with the preset's kind, and only if that fails do the preset's rates
+# fill in the rates the section leaves out.
+PRESET_RULE_CASES = {
+    # Parsed before the rule, to the same config.
+    "p3-a-zero": ({"preset": 3, "scheme": {"a": 0}}, _preset_echo(3)),
+    "p2-b-zero": ({"preset": 2, "scheme": {"b": 0}}, _preset_echo(2)),
+    "p4-general-a": (
+        {"preset": 4, "scheme": {"kind": "general", "a": 0.3}}, _preset_echo(4, "general", 0.3, 0.7)
+    ),
+    "p1-empty": ({"preset": 1, "scheme": {}}, _preset_echo(1)),
+    **{f"p{p}-echo": (_preset_echo(p), _preset_echo(p)) for p in (1, 2, 3, 4)},
+    # Failed before the rule on the preset's other rate.
+    "p1-a": ({"preset": 1, "scheme": {"a": 0.5}}, _preset_echo(1, "lrp", 0.5, 0.5)),
+    "p1-b": ({"preset": 1, "scheme": {"b": 0.3}}, _preset_echo(1, "lrp", 0.3, 0.3)),
+    "p1-lri-a": ({"preset": 1, "scheme": {"kind": "lri", "a": 0.5}}, _preset_echo(1, "lri", 0.5, 0.0)),
+    "p1-penalty-only-b": (
+        {"preset": 1, "scheme": {"kind": "penalty_only", "b": 0.4}},
+        _preset_echo(1, "penalty_only", 0.0, 0.4),
+    ),
+    # Still rejected: lrp takes preset 2's rates 0.7 and 0.
+    "p2-lrp": (
+        {"preset": 2, "scheme": {"kind": "lrp"}},
+        "config field 'scheme': reward-penalty scheme requires equal reward and penalty rates",
+    ),
+}
+
+
 class TestParseConfig:
+    @pytest.mark.parametrize("data,expected", PRESET_RULE_CASES.values(), ids=PRESET_RULE_CASES)
+    def test_preset_rule(self, data, expected):
+        overrides = {**data, "seed": 1}
+        if isinstance(expected, str):
+            with pytest.raises(ConfigError) as err:
+                parse_config(overrides=overrides)
+            assert str(err.value) == expected
+        else:
+            assert parse_config(overrides=overrides).to_dict() == expected
+
+    @pytest.mark.parametrize("preset", [None, 1], ids=["no-preset", "preset"])
+    def test_missing_bounds_corner_takes_its_default(self, preset):
+        world = {"bounds": {"max": [50, 50]}}
+        overrides = {"preset": preset, "seed": 1, "scheme": {"kind": "lrp", "a": 0.7}, "world": world}
+        assert parse_config(overrides=overrides).world.bounds == Bounds(-100, -100, 50, 50)
+
     def test_minimal_preset_config(self, tmp_path):
         path = write_config(tmp_path, {"preset": 1, "seed": 42})
         config = parse_config(path)

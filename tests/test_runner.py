@@ -387,6 +387,20 @@ class TestWorldSpecValidation:
             WorldSpec(bounds=Bounds(10, 10, 50, 50))
         assert err.value.field == "world.bounds"
 
+    @pytest.mark.parametrize(
+        "kwargs,field,message",
+        [
+            ({"bounds": None}, "world.bounds", "expected a Bounds, got None"),
+            ({"obstacles": [5]}, "world.obstacles", "expected a CircleObstacle or RectObstacle, got 5"),
+            ({"auto_blocking_pair": "no"}, "world.auto_blocking_pair", "expected true/false, got 'no'"),
+        ],
+        ids=["bounds-none", "obstacle-int", "pair-string"],
+    )
+    def test_rejects_wrong_types(self, kwargs, field, message):
+        with pytest.raises(ConfigError) as err:
+            WorldSpec(**kwargs)
+        assert str(err.value) == f"config field '{field}': {message}"
+
 
 def _batch_summary(outcomes):
     """The summary that ``la-nav batch`` builds from a batch's outcomes."""

@@ -396,6 +396,19 @@ class TestGeometryTypes:
         with pytest.raises(ValueError):
             World((10.0, 0.0), 0.0, (), Bounds())
 
+    @pytest.mark.parametrize(
+        "kwargs,message",
+        [
+            ({"bounds": None}, "bounds must be a Bounds, got None"),
+            ({"obstacles": [5]}, "obstacle must be a CircleObstacle or RectObstacle, got 5"),
+        ],
+        ids=["bounds-none", "obstacle-int"],
+    )
+    def test_world_rejects_wrong_types(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
+            World((1.0, 1.0), **kwargs)
+        assert str(err.value) == message
+
     def test_nan_sizes_rejected(self):
         with pytest.raises(ValueError):
             World((10.0, 0.0), math.nan, (), Bounds())
