@@ -60,6 +60,18 @@ _MISSING_RATE = {
 }
 
 
+def _family_rates(kind: SchemeKind, reward_rate, penalty_rate) -> tuple:
+    """The two rates with the ones ``kind`` fixes filled in; a rate it cannot fill stays ``None``."""
+    if kind is SchemeKind.LRP:
+        reward_rate = penalty_rate if reward_rate is None else reward_rate
+        penalty_rate = reward_rate if penalty_rate is None else penalty_rate
+    elif kind is SchemeKind.LRI and penalty_rate is None:
+        penalty_rate = 0.0
+    elif kind is SchemeKind.PENALTY_ONLY and reward_rate is None:
+        reward_rate = 0.0
+    return reward_rate, penalty_rate
+
+
 class LearningScheme(Value):
     """Reinforcement scheme: reward/penalty rates plus the scheme family.
 
@@ -85,13 +97,7 @@ class LearningScheme(Value):
         self, kind: SchemeKind, reward_rate: float | None = None, penalty_rate: float | None = None
     ) -> None:
         kind = SchemeKind(kind)
-        if kind is SchemeKind.LRP:
-            reward_rate = penalty_rate if reward_rate is None else reward_rate
-            penalty_rate = reward_rate if penalty_rate is None else penalty_rate
-        elif kind is SchemeKind.LRI and penalty_rate is None:
-            penalty_rate = 0.0
-        elif kind is SchemeKind.PENALTY_ONLY and reward_rate is None:
-            reward_rate = 0.0
+        reward_rate, penalty_rate = _family_rates(kind, reward_rate, penalty_rate)
         if reward_rate is None or penalty_rate is None:
             raise ValueError(_MISSING_RATE[kind])
         reward_rate = _number(reward_rate, "reward rate")

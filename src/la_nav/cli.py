@@ -26,7 +26,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from .automata import LearningScheme, SchemeKind
+from .automata import LearningScheme, SchemeKind, _family_rates
 from .errors import ConfigError, SimulationError
 from .kinematics import ACTION_COUNT, RobotParams
 from .runner import (
@@ -74,7 +74,7 @@ def _build(path: str, make, *args, **kwargs):
 
 
 def _build_scheme(data: dict, preset: LearningScheme | None) -> LearningScheme:
-    """The section as read alone, kind defaulting to ``preset``'s; if that fails, ``preset``'s rates fill gaps."""
+    """The section's scheme, kind defaulting to ``preset``'s; ``preset`` fills a rate the family leaves missing."""
     _reject_unknown(data, _SCHEME_KEYS, "scheme")
     kind_raw = data.get("kind", "general" if preset is None else preset.kind)
     try:
@@ -86,12 +86,10 @@ def _build_scheme(data: dict, preset: LearningScheme | None) -> LearningScheme:
     for key in "ab":
         if key in data and data[key] is None:
             raise ConfigError(f"scheme.{key}", "expected a number, got None")
-    a, b = data.get("a"), data.get("b")
+    a, b = _family_rates(kind, data.get("a"), data.get("b"))
     if preset is not None:
-        try:
-            return LearningScheme(kind, a, b)
-        except ValueError:
-            a, b = data.get("a", preset.reward_rate), data.get("b", preset.penalty_rate)
+        a = preset.reward_rate if a is None else a
+        b = preset.penalty_rate if b is None else b
     return _build("scheme", LearningScheme, kind, a, b)
 
 

@@ -57,17 +57,19 @@ class WorldSpec(Value):
     ``auto_blocking_pair`` derives the two-disc blocking layout from the
     goal instead of using ``obstacles``. Building a spec checks everything
     that does not depend on the seed: a ``bounds`` that is not a ``Bounds``,
-    an obstacle that is not a ``CircleObstacle`` or ``RectObstacle``, or an
-    ``auto_blocking_pair`` that is not a bool is a ``ConfigError`` for that
-    field; the start (0, 0) must lie inside the bounds and outside every
-    obstacle, an explicit goal must give a world the robot can finish in,
-    and some point of the bounds must lie ``min_start_distance`` from the
-    start for a random goal.
+    an ``obstacles`` that is not a list of ``CircleObstacle`` and
+    ``RectObstacle``, or an ``auto_blocking_pair`` that is not a bool is a
+    ``ConfigError`` for that field; the start (0, 0) must lie inside the
+    bounds and outside every obstacle, an explicit goal must give a world
+    the robot can finish in, and some point of the bounds must lie
+    ``min_start_distance`` from the start for a random goal.
+
+    An explicit goal's ``World`` is built once, with the spec, and kept in
+    ``world`` (``None`` for a random goal); ``build_world`` returns it.
     """
 
-    __slots__ = _fields = (
-        "goal", "tolerance", "bounds", "obstacles", "min_start_distance", "auto_blocking_pair"
-    )
+    _fields = ("goal", "tolerance", "bounds", "obstacles", "min_start_distance", "auto_blocking_pair")
+    __slots__ = (*_fields, "world")
 
     def __init__(
         self,
@@ -78,7 +80,12 @@ class WorldSpec(Value):
         min_start_distance: float = DEFAULT_MIN_START_DISTANCE_CM,
         auto_blocking_pair: bool = False,
     ) -> None:
-        obstacles = tuple(obstacles)
+        try:
+            obstacles = tuple(obstacles)
+        except TypeError:
+            raise ConfigError(
+                "world.obstacles", f"expected a list of obstacles, got {obstacles!r}"
+            ) from None
         if not isinstance(bounds, Bounds):
             raise ConfigError("world.bounds", f"expected a Bounds, got {bounds!r}")
         for obs in obstacles:
@@ -97,13 +104,6 @@ class WorldSpec(Value):
                 raise ConfigError("world.goal", str(exc)) from None
         tolerance = _finite(tolerance, "tolerance")
         min_start_distance = _finite(min_start_distance, "min start distance")
-        # _explicit_world reads the spec, so the fields are set before the checks.
-        _set(self, "goal", goal)
-        _set(self, "tolerance", tolerance)
-        _set(self, "bounds", bounds)
-        _set(self, "obstacles", obstacles)
-        _set(self, "min_start_distance", min_start_distance)
-        _set(self, "auto_blocking_pair", auto_blocking_pair)
         if not tolerance > 0:
             raise ValueError(f"tolerance must be positive, got {tolerance!r}")
         if not min_start_distance >= 0:
@@ -113,8 +113,17 @@ class WorldSpec(Value):
         if auto_blocking_pair and goal == (0.0, 0.0):
             # The pair straddles the start-to-goal line, which needs a direction.
             raise ValueError("auto_blocking_pair needs a goal away from the start (0, 0)")
+        world = None
         if goal is not None:
-            _explicit_world(self)
+            layout = _blocking_pair(goal) if auto_blocking_pair else obstacles
+            if auto_blocking_pair and not _pair_fits(goal, layout, tolerance):
+                raise InfeasibleWorldError(
+                    f"blocking pair derived from goal {goal} traps the start or the goal"
+                )
+            try:
+                world = World(goal, tolerance, layout, bounds)
+            except ValueError as exc:
+                raise ConfigError("world.goal", str(exc)) from None
         if not bounds.contains(0.0, 0.0):
             raise ConfigError("world.bounds", "bounds must contain the start position (0, 0)")
         if any(obs.contains(0.0, 0.0) for obs in obstacles):
@@ -128,6 +137,14 @@ class WorldSpec(Value):
                     f"min start distance {min_start_distance:g} cm exceeds {farthest:g} cm, "
                     "the largest distance from the start (0, 0) to a point of the bounds",
                 )
+        _set(self, "goal", goal)
+        _set(self, "tolerance", tolerance)
+        _set(self, "bounds", bounds)
+        _set(self, "obstacles", obstacles)
+        _set(self, "min_start_distance", min_start_distance)
+        _set(self, "auto_blocking_pair", auto_blocking_pair)
+        # Derived from the fields: out of eq, hash, repr and replace.
+        _set(self, "world", world)
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -340,19 +357,6 @@ def _pair_fits(
     return True
 
 
-def _explicit_world(spec: WorldSpec) -> World:
-    """The world of a spec with an explicit goal; raises if the robot cannot finish in it."""
-    obstacles = _blocking_pair(spec.goal) if spec.auto_blocking_pair else spec.obstacles
-    if spec.auto_blocking_pair and not _pair_fits(spec.goal, obstacles, spec.tolerance):
-        raise InfeasibleWorldError(
-            f"blocking pair derived from goal {spec.goal} traps the start or the goal"
-        )
-    try:
-        return World(spec.goal, spec.tolerance, obstacles, spec.bounds)
-    except ValueError as exc:
-        raise ConfigError("world.goal", str(exc)) from None
-
-
 def build_world(spec: WorldSpec, rng) -> World:
     """Materialize a :class:`World` from a recipe, consuming ``rng`` draws.
 
@@ -364,8 +368,8 @@ def build_world(spec: WorldSpec, rng) -> World:
     obstacle, or where the derived blocking layout would swallow the start
     or the goal tolerance disc.
     """
-    if spec.goal is not None:
-        return _explicit_world(spec)
+    if spec.world is not None:
+        return spec.world
     bounds = spec.bounds
     obstacles = spec.obstacles
     for _ in range(_MAX_WORLD_ATTEMPTS):

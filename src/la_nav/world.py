@@ -159,7 +159,10 @@ class World(Value):
     ) -> None:
         goal = _point(goal, "goal")
         goal_tolerance = _finite(goal_tolerance, "goal tolerance")
-        obstacles = tuple(obstacles)
+        try:
+            obstacles = tuple(obstacles)
+        except TypeError:
+            raise ValueError(f"obstacles must be a list of obstacles, got {obstacles!r}") from None
         if not isinstance(bounds, Bounds):
             raise ValueError(f"bounds must be a Bounds, got {bounds!r}")
         for obs in obstacles:

@@ -66,9 +66,9 @@ def _preset_echo(preset, kind=None, a=None, b=None):
     return config.to_dict()
 
 
-# A preset gives its scheme; a scheme section is read as it would be without
-# one, with the preset's kind, and only if that fails do the preset's rates
-# fill in the rates the section leaves out.
+# A preset gives its scheme; a scheme section takes the preset's kind if it
+# names none, its family fills in the rates it fixes, and the preset's rates
+# fill in any rate still missing.
 PRESET_RULE_CASES = {
     # Parsed before the rule, to the same config.
     "p3-a-zero": ({"preset": 3, "scheme": {"a": 0}}, _preset_echo(3)),
@@ -86,7 +86,13 @@ PRESET_RULE_CASES = {
         {"preset": 1, "scheme": {"kind": "penalty_only", "b": 0.4}},
         _preset_echo(1, "penalty_only", 0.0, 0.4),
     ),
-    # Still rejected: lrp takes preset 2's rates 0.7 and 0.
+    # The family fixes the rate that would clash with the preset's.
+    "p1-lri": ({"preset": 1, "scheme": {"kind": "lri"}}, _preset_echo(1, "lri", 0.7, 0.0)),
+    "p1-penalty-only": (
+        {"preset": 1, "scheme": {"kind": "penalty_only"}}, _preset_echo(1, "penalty_only", 0.0, 0.7)
+    ),
+    "p4-lri": ({"preset": 4, "scheme": {"kind": "lri"}}, _preset_echo(4, "lri", 0.7, 0.0)),
+    # Still rejected: lrp fixes no rate here and takes preset 2's rates 0.7 and 0.
     "p2-lrp": (
         {"preset": 2, "scheme": {"kind": "lrp"}},
         "config field 'scheme': reward-penalty scheme requires equal reward and penalty rates",

@@ -22,6 +22,7 @@ from la_nav import (
     SchemeKind,
     SeedFailure,
     Termination,
+    World,
     WorldSpec,
     build_world,
     config_digest,
@@ -393,8 +394,10 @@ class TestWorldSpecValidation:
             ({"bounds": None}, "world.bounds", "expected a Bounds, got None"),
             ({"obstacles": [5]}, "world.obstacles", "expected a CircleObstacle or RectObstacle, got 5"),
             ({"auto_blocking_pair": "no"}, "world.auto_blocking_pair", "expected true/false, got 'no'"),
+            ({"obstacles": 5}, "world.obstacles", "expected a list of obstacles, got 5"),
+            ({"obstacles": None}, "world.obstacles", "expected a list of obstacles, got None"),
         ],
-        ids=["bounds-none", "obstacle-int", "pair-string"],
+        ids=["bounds-none", "obstacle-int", "pair-string", "obstacles-int", "obstacles-none"],
     )
     def test_rejects_wrong_types(self, kwargs, field, message):
         with pytest.raises(ConfigError) as err:
@@ -483,6 +486,21 @@ class TestBatch:
         monkeypatch.setattr("la_nav.runner.move_table", counting_move_table)
         list(run_batch(template, [1, 2, 3]))
         assert len(calls) == 3
+
+    def test_explicit_world_built_once(self, monkeypatch):
+        # The spec builds its goal's world when it checks it; every seed reuses it.
+        calls = []
+
+        def counting_world(*args):
+            calls.append(args)
+            return World(*args)
+
+        monkeypatch.setattr("la_nav.runner.World", counting_world)
+        world = WorldSpec(goal=(40.0, 25.0), auto_blocking_pair=True)
+        template = ExperimentConfig(scheme=LearningScheme("lrp", 0.7), seed=0, world=world)
+        outcomes = list(run_batch(template, [1, 2, 3]))
+        assert [type(o) for o in outcomes] == [RunRecord] * 3
+        assert len(calls) == 1
 
 
 class TestSummarizeMatchesNumpy:

@@ -401,8 +401,10 @@ class TestGeometryTypes:
         [
             ({"bounds": None}, "bounds must be a Bounds, got None"),
             ({"obstacles": [5]}, "obstacle must be a CircleObstacle or RectObstacle, got 5"),
+            ({"obstacles": 5}, "obstacles must be a list of obstacles, got 5"),
+            ({"obstacles": None}, "obstacles must be a list of obstacles, got None"),
         ],
-        ids=["bounds-none", "obstacle-int"],
+        ids=["bounds-none", "obstacle-int", "obstacles-int", "obstacles-none"],
     )
     def test_world_rejects_wrong_types(self, kwargs, message):
         with pytest.raises(ValueError) as err:
