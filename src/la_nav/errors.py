@@ -17,4 +17,9 @@ class ConfigError(SimulationError):
 
 
 class InfeasibleWorldError(SimulationError):
-    """World geometry leaves no room for a valid goal or start position."""
+    """A seed's random goal found no place within 10 000 draws.
+
+    Raised only by ``build_world``. An explicit goal is checked when its
+    ``WorldSpec`` is built, and one the robot could not finish at is a
+    ``ConfigError`` for ``world.goal``.
+    """

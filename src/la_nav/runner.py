@@ -60,12 +60,13 @@ class WorldSpec(Value):
     an ``obstacles`` that is not a list of ``CircleObstacle`` and
     ``RectObstacle``, or an ``auto_blocking_pair`` that is not a bool is a
     ``ConfigError`` for that field; the start (0, 0) must lie inside the
-    bounds and outside every obstacle, an explicit goal must give a world
-    the robot can finish in, and some point of the bounds must lie
-    ``min_start_distance`` from the start for a random goal.
+    bounds and outside every obstacle, and some point of the bounds must
+    lie ``min_start_distance`` from the start for a random goal.
 
-    An explicit goal's ``World`` is built once, with the spec, and kept in
-    ``world`` (``None`` for a random goal); ``build_world`` returns it.
+    An explicit goal's ``World`` is built once, with the spec, by
+    ``_world_at``, and kept in ``world`` (``None`` for a random goal);
+    ``build_world`` returns it. A goal that ``_world_at`` rejects is a
+    ``ConfigError`` for ``world.goal``.
     """
 
     _fields = ("goal", "tolerance", "bounds", "obstacles", "min_start_distance", "auto_blocking_pair")
@@ -115,13 +116,8 @@ class WorldSpec(Value):
             raise ValueError("auto_blocking_pair needs a goal away from the start (0, 0)")
         world = None
         if goal is not None:
-            layout = _blocking_pair(goal) if auto_blocking_pair else obstacles
-            if auto_blocking_pair and not _pair_fits(goal, layout, tolerance):
-                raise InfeasibleWorldError(
-                    f"blocking pair derived from goal {goal} traps the start or the goal"
-                )
             try:
-                world = World(goal, tolerance, layout, bounds)
+                world = _world_at(goal, tolerance, obstacles, bounds, auto_blocking_pair)
             except ValueError as exc:
                 raise ConfigError("world.goal", str(exc)) from None
         if not bounds.contains(0.0, 0.0):
@@ -344,17 +340,24 @@ def _blocking_pair(goal: tuple[float, float]) -> tuple[CircleObstacle, CircleObs
     return near, far
 
 
-def _pair_fits(
-    goal: tuple[float, float], obstacles: tuple[CircleObstacle, CircleObstacle], tolerance: float
-) -> bool:
-    # The start must sit outside both discs and the whole goal-tolerance
-    # disc must stay reachable, otherwise the episode can never finish.
-    for obs in obstacles:
-        if obs.exterior_clearance(0.0, 0.0) <= _START_CLEARANCE_CM:
-            return False
-        if obs.exterior_clearance(goal[0], goal[1]) <= tolerance:
-            return False
-    return True
+def _world_at(
+    goal: tuple[float, float], tolerance: float, obstacles: tuple[Obstacle, ...], bounds: Bounds,
+    auto_blocking_pair: bool,
+) -> World:
+    """The world with this goal, or ``ValueError`` where the robot could not finish.
+
+    ``auto_blocking_pair`` derives the two discs from the goal in place of
+    ``obstacles``; they must leave the start and the whole goal-tolerance disc free.
+    """
+    if auto_blocking_pair:
+        obstacles = _blocking_pair(goal)
+        for obs in obstacles:
+            if (
+                obs.exterior_clearance(0.0, 0.0) <= _START_CLEARANCE_CM
+                or obs.exterior_clearance(goal[0], goal[1]) <= tolerance
+            ):
+                raise ValueError(f"blocking pair derived from goal {goal} traps the start or the goal")
+    return World(goal, tolerance, obstacles, bounds)
 
 
 def build_world(spec: WorldSpec, rng) -> World:
@@ -364,25 +367,20 @@ def build_world(spec: WorldSpec, rng) -> World:
     [low, high): a ``random.Random``, a numpy ``Generator``.
 
     A random goal is drawn uniformly over the bounds, x then y, and redrawn
-    while it lies closer than ``min_start_distance`` to the start, inside an
-    obstacle, or where the derived blocking layout would swallow the start
-    or the goal tolerance disc.
+    while it lies closer than ``min_start_distance`` to the start or
+    ``_world_at`` rejects it.
     """
     if spec.world is not None:
         return spec.world
     bounds = spec.bounds
-    obstacles = spec.obstacles
     for _ in range(_MAX_WORLD_ATTEMPTS):
         goal = rng.uniform(bounds.x_min, bounds.x_max), rng.uniform(bounds.y_min, bounds.y_max)
         if math.hypot(*goal) < spec.min_start_distance:
             continue
-        if spec.auto_blocking_pair:
-            obstacles = _blocking_pair(goal)
-            if not _pair_fits(goal, obstacles, spec.tolerance):
-                continue
-        elif any(obs.contains(*goal) for obs in obstacles):
+        try:
+            return _world_at(goal, spec.tolerance, spec.obstacles, bounds, spec.auto_blocking_pair)
+        except ValueError:
             continue
-        return World(goal, spec.tolerance, obstacles, spec.bounds)
     raise InfeasibleWorldError(
         f"no feasible goal after {_MAX_WORLD_ATTEMPTS} samples (bounds {bounds!r}, "
         f"{len(spec.obstacles)} obstacles, min start distance {spec.min_start_distance})"

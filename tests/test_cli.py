@@ -857,7 +857,11 @@ class TestMain:
                 {"preset": 1, "world": {"bounds": {"min": [10, 10], "max": [50, 50]}}},
                 "error: config field 'world.bounds':",
             ),
-            ({"preset": 4, "world": {"goal": [20, 0]}}, "error: blocking pair derived from goal"),
+            (
+                {"preset": 4, "world": {"goal": [20, 0]}},
+                "error: config field 'world.goal': "
+                "blocking pair derived from goal (20.0, 0.0) traps the start or the goal",
+            ),
             ({"preset": 1, "world": {"goal": [500, 0]}}, "error: config field 'world.goal':"),
             ({"preset": 1, "max_steps": 10**400}, "error: config field 'max_steps':"),
             (

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -228,8 +229,49 @@ class TestWorldBuilding:
 
     def test_blocking_pair_rejects_trapped_goal(self):
         # A goal this close leaves the far disc overlapping the goal disc.
-        with pytest.raises(InfeasibleWorldError):
+        with pytest.raises(ConfigError) as err:
             WorldSpec(goal=(20.0, 0.0), auto_blocking_pair=True)
+        assert err.value.field == "world.goal"
+        assert str(err.value) == (
+            "config field 'world.goal': "
+            "blocking pair derived from goal (20.0, 0.0) traps the start or the goal"
+        )
+
+    @pytest.mark.parametrize(
+        "spec,expected",
+        [
+            (
+                # Seed 4 draws three goals: the first two land inside the box.
+                WorldSpec(obstacles=(CircleObstacle((30, 5), 25), RectObstacle((-80, -90), (10, -5)))),
+                [
+                    ((-73.12715117751975, 69.48674738744654), 0.763774618976614),
+                    ((91.20685437784988, 89.56549741186987), 0.05655136772680869),
+                    ((-52.40707458162173, 8.845845059190367), 0.36995516654807925),
+                    ((-86.69698086408202, -19.68179710298503), 0.9179550430877189),
+                    ((24.580338977940386, 48.35739785214588), 0.7951935655656966),
+                ],
+            ),
+            (
+                # Every seed but 2 draws again: the derived pair traps the start or the goal.
+                WorldSpec(auto_blocking_pair=True, bounds=Bounds(-30, -30, 30, 30), min_start_distance=0),
+                [
+                    ((-24.368424793545906, -28.29915140867962), 0.8357651039198697),
+                    ((27.362056313354962, 26.869649223560963), 0.05655136772680869),
+                    ((-29.20992050670755, 20.2481449257876), 0.25935401432800764),
+                    ((22.80304508167196, -24.79690484190469), 0.6058518837198799),
+                    ((24.054029505037363, -23.207642120811336), 0.46906904778216374),
+                ],
+            ),
+        ],
+        ids=["listed-obstacles", "auto-pair-tight-bounds"],
+    )
+    def test_random_goal_redraws_pinned(self, spec, expected):
+        # A rejected goal is drawn again, x then y, and the episode's next
+        # draw follows the accepted one.
+        for seed, (goal, next_draw) in enumerate(expected, start=1):
+            rng = random.Random(seed)
+            assert build_world(spec, rng).goal == goal
+            assert rng.random() == next_draw
 
     def test_blocking_pair_never_traps_random_goals(self):
         for seed in range(40):
