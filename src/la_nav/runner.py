@@ -30,6 +30,7 @@ from .world import (
     Obstacle,
     World,
     _finite,
+    _goal_misfit,
     _point,
     compute_feedback,
     distance_to_goal,
@@ -63,10 +64,9 @@ class WorldSpec(Value):
     bounds and outside every obstacle, and some point of the bounds must
     lie ``min_start_distance`` from the start for a random goal.
 
-    An explicit goal's ``World`` is built once, with the spec, by
-    ``_world_at``, and kept in ``world`` (``None`` for a random goal);
-    ``build_world`` returns it. A goal that ``_world_at`` rejects is a
-    ``ConfigError`` for ``world.goal``.
+    An explicit goal's ``World`` is built once, with the spec, and kept in
+    ``world`` (``None`` for a random goal); ``build_world`` returns it. A goal
+    that ``_goal_fit`` names a culprit for is a ``ConfigError`` for ``world.goal``.
     """
 
     _fields = ("goal", "tolerance", "bounds", "obstacles", "min_start_distance", "auto_blocking_pair")
@@ -116,8 +116,12 @@ class WorldSpec(Value):
             raise ValueError("auto_blocking_pair needs a goal away from the start (0, 0)")
         world = None
         if goal is not None:
+            goal_obstacles, culprit = _goal_fit(goal, tolerance, obstacles, bounds, auto_blocking_pair)
+            if isinstance(culprit, tuple):  # the derived pair
+                trapped = f"blocking pair derived from goal {goal} traps the start or the goal"
+                raise ConfigError("world.goal", trapped)
             try:
-                world = _world_at(goal, tolerance, obstacles, bounds, auto_blocking_pair)
+                world = World(goal, tolerance, goal_obstacles, bounds)
             except ValueError as exc:
                 raise ConfigError("world.goal", str(exc)) from None
         if not bounds.contains(0.0, 0.0):
@@ -340,14 +344,15 @@ def _blocking_pair(goal: tuple[float, float]) -> tuple[CircleObstacle, CircleObs
     return near, far
 
 
-def _world_at(
+def _goal_fit(
     goal: tuple[float, float], tolerance: float, obstacles: tuple[Obstacle, ...], bounds: Bounds,
     auto_blocking_pair: bool,
-) -> World:
-    """The world with this goal, or ``ValueError`` where the robot could not finish.
+) -> tuple[tuple[Obstacle, ...], Bounds | Obstacle | tuple[Obstacle, ...] | None]:
+    """The obstacles of the world with this goal, and what keeps the robot from finishing there.
 
-    ``auto_blocking_pair`` derives the two discs from the goal in place of
-    ``obstacles``; they must leave the start and the whole goal-tolerance disc free.
+    ``auto_blocking_pair`` derives the two discs from the goal in place of ``obstacles``;
+    the pair is the culprit unless it leaves the start and the whole goal-tolerance disc
+    free. Else the culprit is the bounds or an obstacle holding the goal, or None if it fits.
     """
     if auto_blocking_pair:
         obstacles = _blocking_pair(goal)
@@ -356,8 +361,8 @@ def _world_at(
                 obs.exterior_clearance(0.0, 0.0) <= _START_CLEARANCE_CM
                 or obs.exterior_clearance(goal[0], goal[1]) <= tolerance
             ):
-                raise ValueError(f"blocking pair derived from goal {goal} traps the start or the goal")
-    return World(goal, tolerance, obstacles, bounds)
+                return obstacles, obstacles
+    return obstacles, _goal_misfit(goal, obstacles, bounds)
 
 
 def build_world(spec: WorldSpec, rng) -> World:
@@ -368,7 +373,7 @@ def build_world(spec: WorldSpec, rng) -> World:
 
     A random goal is drawn uniformly over the bounds, x then y, and redrawn
     while it lies closer than ``min_start_distance`` to the start or
-    ``_world_at`` rejects it.
+    ``_goal_fit`` names a culprit.
     """
     if spec.world is not None:
         return spec.world
@@ -377,10 +382,9 @@ def build_world(spec: WorldSpec, rng) -> World:
         goal = rng.uniform(bounds.x_min, bounds.x_max), rng.uniform(bounds.y_min, bounds.y_max)
         if math.hypot(*goal) < spec.min_start_distance:
             continue
-        try:
-            return _world_at(goal, spec.tolerance, spec.obstacles, bounds, spec.auto_blocking_pair)
-        except ValueError:
-            continue
+        obstacles, culprit = _goal_fit(goal, spec.tolerance, spec.obstacles, bounds, spec.auto_blocking_pair)
+        if culprit is None:
+            return World(goal, spec.tolerance, obstacles, bounds)
     raise InfeasibleWorldError(
         f"no feasible goal after {_MAX_WORLD_ATTEMPTS} samples (bounds {bounds!r}, "
         f"{len(spec.obstacles)} obstacles, min start distance {spec.min_start_distance})"

@@ -145,6 +145,13 @@ class RectObstacle(Value):
 Obstacle = CircleObstacle | RectObstacle
 
 
+def _goal_misfit(goal: tuple[float, float], obstacles: tuple[Obstacle, ...], bounds: Bounds):
+    """``bounds`` if ``goal`` lies outside them, else the first obstacle holding it, else None."""
+    if not bounds.contains(*goal):
+        return bounds
+    return next((obs for obs in obstacles if obs.contains(*goal)), None)
+
+
 class World(Value):
     """Immutable workspace: goal point, tolerance, obstacles, bounds."""
 
@@ -170,12 +177,11 @@ class World(Value):
                 raise ValueError(f"obstacle must be a CircleObstacle or RectObstacle, got {obs!r}")
         if not goal_tolerance > 0:
             raise ValueError(f"goal tolerance must be positive, got {goal_tolerance!r}")
-        gx, gy = goal
-        if not bounds.contains(gx, gy):
+        culprit = _goal_misfit(goal, obstacles, bounds)
+        if culprit is bounds:
             raise ValueError(f"goal {goal} outside bounds {bounds!r}")
-        for obs in obstacles:
-            if obs.contains(gx, gy):
-                raise ValueError(f"goal {goal} lies inside obstacle {obs!r}")
+        if culprit is not None:
+            raise ValueError(f"goal {goal} lies inside obstacle {culprit!r}")
         _set(self, "goal", goal)
         _set(self, "goal_tolerance", goal_tolerance)
         _set(self, "obstacles", obstacles)

@@ -317,8 +317,15 @@ class TestParseConfig:
                     "obstacles": [{"shape": "rect", "min": [10.0, -5.0], "max": [20.0, 5.0]}],
                 },
             },
+            {"seed": 3, "scheme": {"kind": "lrp", "a": 0.7}, "world": {"goal": [30, 5]}},
+            {"seed": 1, "scheme": {"kind": "penalty_only", "b": 0.4}, "max_steps": 50},
+            {"preset": 1, "seed": 1, "scheme": {"a": 0.5}, "max_steps": 50},
+            {"preset": 1, "seed": 1, "scheme": {"kind": "lri"}, "max_steps": 50},
         ],
-        ids=["preset1", "preset2", "preset3", "preset4", "full-world", "goal-rect"],
+        ids=[
+            "preset1", "preset2", "preset3", "preset4", "full-world", "goal-rect",
+            "goal", "penalty-only-b", "preset1-a", "preset1-lri",
+        ],
     )
     def test_config_echo_parses_back(self, tmp_path, data):
         # The echo writes "preset": null when there is none, which means absent.
@@ -377,11 +384,15 @@ class TestArtifacts:
         assert len(rows) == rec.total_steps
         for name in ("x", "y", "theta", "d"):
             assert _bits(row[name] for row in rows) == _bits(getattr(rec, name))
+            # The text too: a reused row must still be each value's repr.
+            assert [row[name] for row in rows] == list(map(repr, getattr(rec, name)))
         for i, row in enumerate(rows):
             assert int(row["n"]) == i + 1
             assert int(row["action"]) == rec.action[i]
             assert int(row["flag"]) == rec.flag[i]
             assert int(row["blocked"]) == rec.blocked[i]
+            ints = (i + 1, rec.action[i], rec.flag[i], rec.blocked[i])
+            assert [row[k] for k in ("n", "action", "flag", "blocked")] == list(map(str, ints))
 
     def test_round_trip_probability_history(self, round_trip_record, tmp_path):
         emit_artifacts(round_trip_record, tmp_path)
@@ -390,6 +401,7 @@ class TestArtifacts:
         assert len(rows) == round_trip_record.total_steps
         cells = [row[f"p{i}"] for row in rows for i in range(1, 7)]
         assert _bits(cells) == _bits(round_trip_record.probs)
+        assert cells == list(map(repr, round_trip_record.probs))
 
     def test_round_trip_plot_is_build_svg(self, round_trip_record, tmp_path):
         emit_artifacts(round_trip_record, tmp_path)
@@ -865,6 +877,11 @@ class TestMain:
             ({"preset": 1, "world": {"goal": [500, 0]}}, "error: config field 'world.goal':"),
             ({"preset": 1, "max_steps": 10**400}, "error: config field 'max_steps':"),
             (
+                # The family cannot fill in a rate that the config leaves out.
+                {"seed": 1, "scheme": {"kind": "lrp"}},
+                "error: config field 'scheme': reward-penalty scheme needs a rate",
+            ),
+            (
                 # Every point of these bounds lies within 14.2 cm of the start, below 20 cm.
                 {"preset": 1, "world": {"bounds": {"min": [-10, -10], "max": [10, 10]}}},
                 "error: config field 'world.random_goal':",
@@ -904,6 +921,7 @@ class TestMain:
             "trapped-goal",
             "goal-outside-bounds",
             "max-steps-beyond-float-range",
+            "scheme-without-rate",
             "random-goal-beyond-bounds",
             "bounds-number",
             "bounds-null",
@@ -1064,6 +1082,8 @@ class TestEmissionMemory:
             proc = _python(code, str(steps), str(tmp_path / str(steps)))
             assert proc.returncode == 0, proc.stderr
             peaks.append(int(proc.stdout.splitlines()[-1]))
+            with open(tmp_path / str(steps) / "trajectory.csv") as fh:
+                assert sum(1 for _ in fh) == steps + 1
         assert peaks[1] - peaks[0] < 50_000 * 200 // 1024, peaks  # kB
 
 
