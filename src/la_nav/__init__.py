@@ -11,6 +11,7 @@ from .automata import (
     LearningScheme,
     ProbabilityVector,
     SchemeKind,
+    absorbed_action,
     apply_feedback,
     init_uniform,
     select_action,
@@ -26,6 +27,7 @@ from .kinematics import (
     action_to_wheels,
     integrate_action,
     move_table,
+    repeat_move,
 )
 from .runner import (
     ExperimentConfig,

@@ -231,6 +231,17 @@ def apply_feedback(
     raise ValueError(f"flag must be 0 or 1, got {flag!r}")
 
 
+def absorbed_action(p: tuple[float, ...], scheme: LearningScheme) -> int | None:
+    """The 1-based action of ``p`` if it is exactly one-hot and the penalty rate is 0, else ``None``.
+
+    Such a ``p`` is a fixed point: every draw selects that action, and neither
+    update moves it (each 0.0 scales to 0.0, and 1.0 gains 0.0).
+    """
+    if scheme.penalty_rate == 0.0 and p.count(0.0) == len(p) - 1 and 1.0 in p:
+        return p.index(1.0) + 1
+    return None
+
+
 def select_action(p: tuple[float, ...], draw: float) -> int:
     """Pick the first action whose cumulative probability reaches ``draw``.
 

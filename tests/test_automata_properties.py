@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from la_nav import (
     LearningScheme,
+    absorbed_action,
     apply_feedback,
     init_uniform,
     select_action,
@@ -121,6 +122,27 @@ def test_selection_matches_scan_oracle(p, z):
 def test_selection_on_absorbed_vector(pair, z):
     p, winner = pair
     assert select_action(p, z) == winner
+
+
+@given(pair=absorbed_vectors(), reward_rate=edge_rates, z=draws)
+def test_one_hot_vector_without_penalties_is_a_fixed_point(pair, reward_rate, z):
+    # The engine stops drawing, selecting and updating once absorbed_action names an action.
+    p, winner = pair
+    scheme = LearningScheme("general", reward_rate, 0.0)
+    assert absorbed_action(p, scheme) == winner
+    for flag in (0, 1):
+        assert [v.hex() for v in apply_feedback(p, winner, flag, scheme)] == [v.hex() for v in p]
+    assert select_action(p, z) == winner
+
+
+@given(pair=absorbed_vectors(), penalty_rate=edge_rates.filter(lambda b: b > 0.0))
+def test_a_penalty_rate_or_a_nonzero_component_is_not_absorbed(pair, penalty_rate):
+    p, winner = pair
+    assert absorbed_action(p, LearningScheme("general", 0.7, penalty_rate)) is None
+    # 5e-324 in a component other than the winner's (index winner - 1).
+    tiny = tuple(5e-324 if i == winner % len(p) else v for i, v in enumerate(p))
+    assert absorbed_action(tiny, LearningScheme("lri", 0.7)) is None
+    assert absorbed_action(p, LearningScheme("lri", 0.7)) == winner
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from array import array
 from pathlib import Path
 
 import pytest
@@ -348,9 +349,15 @@ def short_record():
 # The chunk-edge records run their whole budget, so their CSVs (a header and
 # one row per step) fill exactly one write chunk, or spill one or two rows
 # into a second.
+# probs.csv's rows from the last change on go out as one run. Literal preset 2
+# seed 3 pushes Backward into a wall: its probabilities repeat from row 620,
+# where they absorb. The tail-edge records are a literal L_R-I robot that
+# cannot move, so every step is rewarded; at these rates they absorb at row
+# _WRITE_CHUNK - 1 or + 1.
 CHUNK_EDGE_STEPS = {
     f"chunk{offset:+d}": _WRITE_CHUNK + offset for offset in (-1, 0, 1)
 }
+TAIL_EDGE_RATES = {"tail-edge-1": 0.946, "tail-edge+1": 0.945}
 ROUND_TRIP_CONFIGS = {
     "preset1": preset_config(1, seed=42),
     "preset2": preset_config(2, seed=2),
@@ -363,12 +370,32 @@ ROUND_TRIP_CONFIGS = {
         name: preset_config(2, seed=1).replace(max_steps=steps)
         for name, steps in CHUNK_EDGE_STEPS.items()
     },
+    "literal-lri-frozen": preset_config(2, seed=3).replace(feedback_literal_eq10=True),
+    **{
+        name: ExperimentConfig(
+            scheme=LearningScheme("lri", a),
+            seed=1,
+            robot=RobotParams(wheel_speed=0.0),
+            max_steps=400,
+            feedback_literal_eq10=True,
+        )
+        for name, a in TAIL_EDGE_RATES.items()
+    },
 }
 
 
 @pytest.fixture(scope="module", params=list(ROUND_TRIP_CONFIGS))
 def round_trip_record(request):
     return run_episode(ROUND_TRIP_CONFIGS[request.param])
+
+
+def _constant_tail_row(record):
+    """The probs.csv row from which every row equals the last one."""
+    rows = list(zip(*[iter(record.probs)] * 6))
+    start = len(rows)
+    while start > 1 and rows[start - 2] == rows[-1]:
+        start -= 1
+    return start
 
 
 def _bits(values):
@@ -399,6 +426,7 @@ class TestArtifacts:
         with open(tmp_path / "probs.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == round_trip_record.total_steps
+        assert [row["n"] for row in rows] == [str(n) for n in range(1, len(rows) + 1)]
         cells = [row[f"p{i}"] for row in rows for i in range(1, 7)]
         assert _bits(cells) == _bits(round_trip_record.probs)
         assert cells == list(map(repr, round_trip_record.probs))
@@ -411,6 +439,16 @@ class TestArtifacts:
     def test_chunk_edge_records_run_their_whole_budget(self, name):
         record = run_episode(ROUND_TRIP_CONFIGS[name])
         assert record.total_steps == CHUNK_EDGE_STEPS[name]
+
+    def test_tail_records_end_in_one_run_of_equal_rows(self):
+        frozen = run_episode(ROUND_TRIP_CONFIGS["literal-lri-frozen"])
+        assert (frozen.action[-1], frozen.flag[-1], frozen.blocked[-1]) == (4, 0, 1)
+        assert _constant_tail_row(frozen) == 620
+        assert frozen.probs[-6:] == array("d", (0.0, 0.0, 0.0, 1.0, 0.0, 0.0))
+        for name, offset in (("tail-edge-1", -1), ("tail-edge+1", 1)):
+            record = run_episode(ROUND_TRIP_CONFIGS[name])
+            assert record.total_steps == 400
+            assert _constant_tail_row(record) == _WRITE_CHUNK + offset
 
     def test_round_trip_records_repeat_row_one(self):
         # Row 1 has no previous row to reuse; these records repeat the start there.
@@ -484,7 +522,8 @@ class TestArtifacts:
 
 
 # sha256 of (trajectory.csv, probs.csv, summary.json, plot.svg) written by
-# emit_artifacts for episodes that draw from random.Random(seed). A change
+# emit_artifacts for episodes that draw from random.Random(seed), keyed by
+# (preset, seed), with "literal" for the inverted success test. A change
 # that keeps behaviour must keep every byte.
 GOLDEN_ARTIFACTS = {
     (1, 1): (
@@ -559,14 +598,22 @@ GOLDEN_ARTIFACTS = {
         "20733968f444273a4b30859bc56a7ca5443d850d8b3fbf86c093225d531a9465",
         "4d25ca862e27c571a68170987cb68551610aa0240ca4435c21cb0e46465af466",
     ),
+    # Preset 2 under the literal test: it absorbs at step 620 and pushes into a wall.
+    (2, 3, "literal"): (
+        "2cd934bdb1a4f83e11698e48e3c7952c350e57de238b10f86e92d3218af72085",
+        "a891a790654ff10d8e8046d937f24e7d5c893376958215125769f86eca440297",
+        "12bf92c9f704fe43e812ed8a1c4ece1d61fa1b5b4151c665fa0d2d398f4d2d45",
+        "3d8aff65025407df438dc323e6fdc3493ca14b40668d3a6f99c65c244fd01d80",
+    ),
 }
 
 
 class TestGoldenArtifacts:
-    @pytest.mark.parametrize("preset_seed", sorted(GOLDEN_ARTIFACTS))
+    @pytest.mark.parametrize("preset_seed", list(GOLDEN_ARTIFACTS))
     def test_artifact_bytes_are_pinned(self, preset_seed, tmp_path):
-        preset, seed = preset_seed
-        record = run_episode(preset_config(preset, seed=seed))
+        preset, seed, *literal = preset_seed
+        config = preset_config(preset, seed=seed).replace(feedback_literal_eq10=bool(literal))
+        record = run_episode(config)
         emit_artifacts(record, tmp_path)
         observed = tuple(
             hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ARTIFACT_NAMES

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -27,14 +28,24 @@ from la_nav import (
     Termination,
     World,
     WorldSpec,
+    absorbed_action,
+    apply_feedback,
     build_world,
+    compute_feedback,
     config_digest,
+    distance_to_goal,
+    goal_reached,
+    init_uniform,
+    integrate_action,
     move_table,
     preset_config,
+    resolve_motion,
     run_batch,
     run_episode,
+    select_action,
     summarize,
 )
+from la_nav.runner import _TAIL_CHUNK
 
 from conftest import first_move_blocked_config, zero_reward_general_config, zero_speed_config
 
@@ -191,6 +202,139 @@ class TestEpisode:
         assert rec_a.action[0] == rec_b.action[0]
         assert (rec_a.x[0], rec_a.y[0]) == (rec_b.x[0], rec_b.y[0])
         assert rec_a.flag[0] != rec_b.flag[0]
+
+
+def reference_episode(config):
+    """The columns of ``run_episode``'s record, and its termination, one step at a time.
+
+    Every step draws, selects and updates, from the public step functions
+    only: the oracle for the engine, which stops doing so once absorbed.
+    """
+    rng = random.Random(config.seed)
+    world = build_world(config.world, rng)
+    moves = move_table(config.robot)
+    probs = init_uniform(ACTION_COUNT)
+    x = y = theta = 0.0
+    d_prev = distance_to_goal(x, y, world)
+    xs, ys, thetas, ds, prob_col = (array("d") for _ in range(5))
+    actions, flags, blocks = (array("b") for _ in range(3))
+    terminated = Termination.GOAL_REACHED if goal_reached(x, y, world) else Termination.MAX_STEPS_EXCEEDED
+    for _ in range(config.max_steps if terminated is Termination.MAX_STEPS_EXCEEDED else 0):
+        action = select_action(probs, rng.random())
+        px, py, ptheta = integrate_action(x, y, theta, moves[action - 1])
+        blocked = resolve_motion(x, y, px, py, world)
+        if not blocked:
+            x, y, theta = px, py, ptheta
+        d = distance_to_goal(x, y, world)
+        flag = compute_feedback(d, d_prev, literal=config.feedback_literal_eq10)
+        probs = apply_feedback(probs, action, flag, config.scheme)
+        row = (x, y, theta, d, action, flag, blocked)
+        for column, value in zip((xs, ys, thetas, ds, actions, flags, blocks), row):
+            column.append(value)
+        prob_col.extend(probs)
+        d_prev = d
+        if goal_reached(x, y, world):
+            terminated = Termination.GOAL_REACHED
+            break
+    return (xs, ys, thetas, ds, prob_col, actions, flags, blocks), terminated
+
+
+def absorbed_at(record):
+    """The first step after which ``absorbed_action`` names an action, or None."""
+    for step, row in enumerate(prob_rows(record), start=1):
+        if absorbed_action(row, record.config.scheme):
+            return step
+    return None
+
+
+def _columns_bytes(record):
+    r = record
+    return [c.tobytes() for c in (r.x, r.y, r.theta, r.d, r.probs, r.action, r.flag, r.blocked)]
+
+
+def _lri(seed, **kwargs):
+    return ExperimentConfig(scheme=LearningScheme("lri", 0.7), seed=seed, **kwargs)
+
+
+SEEDS = range(1, 41)
+DISC = CircleObstacle((0.0, 12.0), 5.0)
+# Episodes whose automaton can absorb, each family with what its absorbed steps must show.
+ABSORBING_CONFIGS = {
+    "preset2": [preset_config(2, seed=s) for s in SEEDS],
+    # A blocked move is not an improvement, so the literal test rewards it: frozen rows carry flag 0.
+    "literal-lri": [_lri(s, feedback_literal_eq10=True) for s in SEEDS],
+    "general-b0": [
+        ExperimentConfig(scheme=LearningScheme("general", 0.7, 0.0), seed=s) for s in range(1, 11)
+    ],
+    # Five seeds drive straight ahead, absorb at step 618, and reach the goal 453 steps later.
+    "goal-0-3000": [
+        _lri(s, world=WorldSpec(goal=(0.0, 3000.0), bounds=Bounds(-100, -100, 100, 3100))) for s in SEEDS
+    ],
+    "bounds-15": [_lri(s, world=WorldSpec(bounds=Bounds(-15, -15, 15, 15))) for s in range(1, 11)],
+    # Literal too: four seeds push into the disc, the others into the bounds.
+    "listed-disc": [
+        _lri(s, world=WorldSpec(goal=(30.0, 5.0), obstacles=(DISC,)), feedback_literal_eq10=True)
+        for s in range(1, 11)
+    ],
+    # The move table holds -0.0; the literal test rewards every step, so it absorbs.
+    "zero-speed-literal": [
+        _lri(s, robot=RobotParams(wheel_speed=0.0), feedback_literal_eq10=True) for s in range(1, 6)
+    ],
+    "max-steps-1": [preset_config(2, seed=s).replace(max_steps=1) for s in range(1, 6)],
+}
+
+
+class TestAbsorbedEngine:
+    @pytest.mark.parametrize("family", sorted(ABSORBING_CONFIGS))
+    def test_every_column_matches_the_step_by_step_loop(self, family):
+        absorbed = []
+        for config in ABSORBING_CONFIGS[family]:
+            record = run_episode(config)
+            columns, terminated = reference_episode(config)
+            assert _columns_bytes(record) == [c.tobytes() for c in columns], config.seed
+            assert record.terminated is terminated
+            step = absorbed_at(record)
+            if step is not None and step < record.total_steps:
+                absorbed.append(record)
+        if family == "max-steps-1":
+            assert absorbed == []
+            return
+        assert absorbed, "no episode ran steps after absorbing"
+        if family == "goal-0-3000":
+            assert sum(r.success for r in absorbed) == 5
+        if family in ("literal-lri", "listed-disc"):
+            frozen = [r for r in absorbed if r.blocked[-1]]
+            assert frozen and {r.flag[-1] for r in frozen} == {0}
+        if family == "listed-disc":
+            ends = [integrate_action(*r.final_pose, r.config.moves[r.action[-1] - 1]) for r in frozen]
+            assert sum(r.world.bounds.contains(x, y) for r, (x, y, _) in zip(frozen, ends)) == 4
+
+    @pytest.mark.parametrize("chunks", [1, 2])
+    def test_budget_ending_on_a_tail_chunk_edge(self, chunks):
+        base = preset_config(2, seed=1)
+        step = absorbed_at(run_episode(base))
+        config = base.replace(max_steps=step + chunks * _TAIL_CHUNK)
+        record = run_episode(config)
+        columns, terminated = reference_episode(config)
+        assert record.total_steps == config.max_steps
+        assert _columns_bytes(record) == [c.tobytes() for c in columns]
+        assert record.terminated is terminated
+
+    def test_absorbed_steps_draw_select_and_update_nothing(self, monkeypatch):
+        calls = {"select_action": 0, "apply_feedback": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        for name, fn in (("select_action", select_action), ("apply_feedback", apply_feedback)):
+            monkeypatch.setattr(f"la_nav.runner.{name}", counting(name, fn))
+        record = run_episode(preset_config(2, seed=1))
+        step = absorbed_at(record)
+        assert step < record.total_steps
+        assert calls == {"select_action": step, "apply_feedback": step}
 
 
 class TestWorldBuilding:
