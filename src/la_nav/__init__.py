@@ -27,7 +27,6 @@ from .kinematics import (
     action_to_wheels,
     integrate_action,
     move_table,
-    repeat_move,
 )
 from .runner import (
     ExperimentConfig,

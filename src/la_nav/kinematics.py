@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 from enum import IntEnum
-from itertools import accumulate, islice, repeat
-from operator import add, mul, sub
 
 from ._value import Value, _number, _set
 
@@ -124,17 +122,3 @@ def integrate_action(
     mid = theta + half_turn
     return x - travel * math.sin(mid), y + travel * math.cos(mid), theta + turn
 
-
-def repeat_move(
-    x: float, y: float, theta: float, move: tuple[float, float, float], n: int
-) -> tuple[list[float], list[float], list[float]]:
-    """Lists ``(xs, ys, thetas)`` of the poses after each of ``n`` chained ``integrate_action`` calls.
-
-    Bit for bit: ``itertools.accumulate`` runs the same float operations in the same order.
-    """
-    travel, half_turn, turn = move
-    thetas = list(accumulate(repeat(turn, n), initial=theta))
-    mids = list(map(add, thetas, repeat(half_turn, n)))
-    xs = accumulate(map(mul, repeat(travel), map(math.sin, mids)), sub, initial=x)
-    ys = accumulate(map(mul, repeat(travel), map(math.cos, mids)), initial=y)
-    return list(islice(xs, 1, None)), list(islice(ys, 1, None)), thetas[1:]

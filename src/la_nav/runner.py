@@ -17,14 +17,11 @@ import sys
 from array import array
 from collections.abc import Iterator, Sequence
 from enum import Enum
-from functools import partial
-from itertools import chain, compress, count, repeat, takewhile
-from operator import ge, not_
 
 from ._value import Value, _set
 from .automata import LearningScheme, absorbed_action, apply_feedback, init_uniform, select_action
 from .errors import ConfigError, InfeasibleWorldError
-from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table, repeat_move
+from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table
 from .world import (
     DEFAULT_MIN_START_DISTANCE_CM,
     GOAL_TOLERANCE_CM,
@@ -53,8 +50,6 @@ _BLOCKING_RADIUS_CM = 10.0
 _BLOCKING_LATERAL_OFFSET_CM = 5.0
 _START_CLEARANCE_CM = 0.5
 _MAX_WORLD_ATTEMPTS = 10_000
-# Steps of an absorbed episode computed per pass; bounds the pass's temporaries.
-_TAIL_CHUNK = 256
 
 
 class WorldSpec(Value):
@@ -397,7 +392,11 @@ def build_world(spec: WorldSpec, rng) -> World:
 
 
 def run_episode(config: ExperimentConfig) -> RunRecord:
-    """Run one full episode; deterministic for a given config and seed."""
+    """Run one full episode; deterministic for a given config and seed.
+
+    Once ``absorbed_action`` names an action, every later step takes it with no
+    draw and no update, which could not change it; the rest of the step is the same.
+    """
     moves = config.moves
     rng = random.Random(config.seed)
     world = build_world(config.world, rng)
@@ -417,15 +416,19 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
         draw = rng.random
         # Only a scheme without penalties can absorb (see absorbed_action).
         absorbing = scheme.penalty_rate == 0.0
+        absorbed = None
         for _ in range(config.max_steps):
-            action = select_action(probs, draw())
+            action = absorbed or select_action(probs, draw())
             px, py, ptheta = integrate_action(x, y, theta, moves[action - 1])
             blocked = resolve_motion(x, y, px, py, world)
             if not blocked:
                 x, y, theta = px, py, ptheta
             d = distance_to_goal(x, y, world)
             flag = compute_feedback(d, d_prev, literal=literal)
-            probs = apply_feedback(probs, action, flag, scheme)
+            if not absorbed:
+                probs = apply_feedback(probs, action, flag, scheme)
+                if absorbing and flag == 0:
+                    absorbed = absorbed_action(probs, scheme)
             xs.append(x)
             ys.append(y)
             thetas.append(theta)
@@ -438,13 +441,6 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
             # goal_reached's test, on the distance just computed.
             if d <= world.goal_tolerance:
                 terminated = Termination.GOAL_REACHED
-                break
-            if absorbing and flag == 0 and (absorbed := absorbed_action(probs, scheme)):
-                columns = (xs, ys, thetas, ds, actions, flags, blocks, prob_col)
-                steps = config.max_steps - len(actions)
-                terminated = _run_absorbed(
-                    columns, (x, y, theta), d, absorbed, probs, moves[absorbed - 1], steps, world, literal
-                )
                 break
 
     return RunRecord(
@@ -462,44 +458,6 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
         config=config,
         world=world,
     )
-
-
-def _run_absorbed(columns, pose, d, action, probs, move, steps, world, literal) -> Termination:
-    """Append the last ``steps`` rows of an episode whose ``probs`` absorbed ``action`` to ``columns``,
-    the record's x, y, theta, d, action, flag, blocked and probs arrays.
-
-    Nothing is drawn, selected or updated: ``repeat_move`` gives the poses, and
-    ``resolve_motion``, ``distance_to_goal`` and ``compute_feedback`` grade them,
-    ``_TAIL_CHUNK`` steps a pass. A blocked move leaves the pose as it was, so
-    every later move is blocked too and repeats its row to the end.
-    """
-    x, y, theta = pose
-    row = array("d", probs)
-    reaches = partial(ge, world.goal_tolerance)  # reaches(v) is v <= tolerance
-    while steps:
-        px, py, pt = repeat_move(x, y, theta, move, min(steps, _TAIL_CHUNK))
-        blocked = map(resolve_motion, chain((x,), px), chain((y,), py), px, py, repeat(world))
-        n = len(list(takewhile(not_, blocked)))  # the moves before the first blocked one
-        dist = list(map(distance_to_goal, px[:n], py[:n], repeat(world)))
-        n = next(compress(count(1), map(reaches, dist)), n)  # the goal, if reached, ends the episode
-        del dist[n:]
-        graded = map(compute_feedback, dist, chain((d,), dist), repeat(literal))
-        for column, values in zip(
-            columns, (px[:n], py[:n], pt[:n], dist, repeat(action, n), graded, repeat(0, n), row * n)
-        ):
-            column.extend(values)
-        if dist and reaches(dist[-1]):
-            return Termination.GOAL_REACHED
-        steps -= n
-        if n:
-            x, y, theta, d = px[n - 1], py[n - 1], pt[n - 1], dist[-1]
-        if n < len(px):  # the next move is blocked, and so is every later one
-            frozen = (x, y, theta, d, action, compute_feedback(d, d, literal), 1)
-            for column, value in zip(columns[:-1], frozen):
-                column.extend(repeat(value, steps))
-            columns[-1].extend(chain.from_iterable(repeat(probs, steps)))
-            break
-    return Termination.MAX_STEPS_EXCEEDED
 
 
 class SeedFailure(Value):

@@ -1,16 +1,20 @@
 """The automaton learns as learning-automata theory says (Narendra and Thathachar, 1989).
 
-Only ``select_action`` and ``apply_feedback`` run, in a stationary random
-environment: action i is penalised with probability c_i at every step,
-independently of the past. Each tolerance is about twice the largest
-deviation seen over 25 groups of the same number of seeds (seeds 1000..1199
-for the time averages, 2000..3999 in groups of 200 for L_R-I).
+Apart from the last test, only ``select_action`` and ``apply_feedback`` run,
+in a stationary random environment: action i is penalised with probability
+c_i at every step, independently of the past. Each tolerance is about twice
+the largest deviation seen over 25 groups of the same number of seeds (seeds
+1000..1199 for the time averages, 2000..3999 in groups of 200 for L_R-I).
+
+The last test runs whole episodes on the robot, whose environment is not
+stationary: which action shortens the distance depends on the heading.
 """
 
 import random
+import statistics
 from itertools import islice
 
-from la_nav import LearningScheme, apply_feedback, init_uniform, select_action
+from la_nav import ExperimentConfig, LearningScheme, apply_feedback, init_uniform, run_episode, select_action
 
 PENALTY_PROBS = (0.2, 0.4, 0.6, 0.8)
 
@@ -62,3 +66,25 @@ def test_lri_absorbs_the_lowest_penalty_action():
                 break
         absorbed_best += p[0] >= 0.999
     assert absorbed_best >= 190
+
+
+def test_learning_rate_on_the_robot():
+    # Default world, no preset, seeds 1..60. Over seeds 1..240 in blocks of
+    # 60, L_R-P reached 60 of 60 goals at a = 0.05 and at a = 0.7 in every
+    # block; L_R-I reached 32-37 at a = 0.02 and 0-2 at a = 0.7, a difference
+    # of 30-36; L_R-P's median steps at a = 0.4 were 0.32-0.41 of those at
+    # a = 0.05 (151.5 of 480 here). Each margin leaves room, so that a change
+    # of bits that keeps the behaviour still passes. An absorbing scheme holds on
+    # to an action that stops paying once the heading turns, and a larger rate
+    # absorbs sooner.
+    seeds = range(1, 61)
+
+    def outcome(kind, a):
+        """Goals reached and median steps over the seeds."""
+        records = [run_episode(ExperimentConfig(scheme=LearningScheme(kind, a), seed=s)) for s in seeds]
+        return sum(r.success for r in records), statistics.median(r.total_steps for r in records)
+
+    lrp_slow_goals, lrp_slow_median = outcome("lrp", 0.05)
+    assert lrp_slow_goals == outcome("lrp", 0.7)[0] == len(seeds)
+    assert outcome("lri", 0.02)[0] >= outcome("lri", 0.7)[0] + 20
+    assert outcome("lrp", 0.4)[1] <= lrp_slow_median / 2

@@ -12,7 +12,6 @@ from la_nav import (
     action_to_wheels,
     integrate_action,
     move_table,
-    repeat_move,
 )
 
 PARAMS = RobotParams()  # c=2.8 cm, b=12 cm, omega=2 rad/s, T=0.5 s
@@ -205,23 +204,6 @@ class TestIntegrateAction:
         x, y, _ = step((0.0, 0.0, theta), action, PARAMS)
         limit = PARAMS.wheel_radius * PARAMS.wheel_speed * PARAMS.action_duration
         assert math.hypot(x, y) <= limit + 1e-9
-
-
-class TestRepeatMove:
-    @pytest.mark.parametrize("n", [0, 1, 5000])
-    @pytest.mark.parametrize(
-        "params", [PARAMS, RobotParams(wheel_speed=900.0)], ids=["default", "fast-turning"]
-    )
-    def test_equals_chained_integrate_action_bit_for_bit(self, params, n):
-        # The fast-turning robot turns 105 rad per one-wheel move.
-        for move in move_table(params):
-            pose = (1.5, -0.5, 0.4)
-            chained = []
-            for _ in range(n):
-                pose = integrate_action(*pose, move)
-                chained.append(pose)
-            xs, ys, thetas = repeat_move(1.5, -0.5, 0.4, move, n)
-            assert [v.hex() for p in chained for v in p] == [v.hex() for p in zip(xs, ys, thetas) for v in p]
 
 
 class TestPoseAndParams:

@@ -45,7 +45,6 @@ from la_nav import (
     select_action,
     summarize,
 )
-from la_nav.runner import _TAIL_CHUNK
 
 from conftest import first_move_blocked_config, zero_reward_general_config, zero_speed_config
 
@@ -309,11 +308,12 @@ class TestAbsorbedEngine:
             ends = [integrate_action(*r.final_pose, r.config.moves[r.action[-1] - 1]) for r in frozen]
             assert sum(r.world.bounds.contains(x, y) for r, (x, y, _) in zip(frozen, ends)) == 4
 
-    @pytest.mark.parametrize("chunks", [1, 2])
-    def test_budget_ending_on_a_tail_chunk_edge(self, chunks):
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_budget_ending_at_absorption(self, k):
+        # The budget ends on the step that absorbs, or on the first absorbed step.
         base = preset_config(2, seed=1)
         step = absorbed_at(run_episode(base))
-        config = base.replace(max_steps=step + chunks * _TAIL_CHUNK)
+        config = base.replace(max_steps=step + k)
         record = run_episode(config)
         columns, terminated = reference_episode(config)
         assert record.total_steps == config.max_steps
@@ -321,7 +321,14 @@ class TestAbsorbedEngine:
         assert record.terminated is terminated
 
     def test_absorbed_steps_draw_select_and_update_nothing(self, monkeypatch):
-        calls = {"select_action": 0, "apply_feedback": 0}
+        # One engine: an absorbed step still integrates and resolves its move.
+        counted_fns = {
+            "select_action": select_action,
+            "apply_feedback": apply_feedback,
+            "integrate_action": integrate_action,
+            "resolve_motion": resolve_motion,
+        }
+        calls = dict.fromkeys(counted_fns, 0)
 
         def counting(name, fn):
             def counted(*args):
@@ -329,12 +336,17 @@ class TestAbsorbedEngine:
                 return fn(*args)
             return counted
 
-        for name, fn in (("select_action", select_action), ("apply_feedback", apply_feedback)):
+        for name, fn in counted_fns.items():
             monkeypatch.setattr(f"la_nav.runner.{name}", counting(name, fn))
         record = run_episode(preset_config(2, seed=1))
         step = absorbed_at(record)
         assert step < record.total_steps
-        assert calls == {"select_action": step, "apply_feedback": step}
+        assert calls == {
+            "select_action": step,
+            "apply_feedback": step,
+            "integrate_action": record.total_steps,
+            "resolve_motion": record.total_steps,
+        }
 
 
 class TestWorldBuilding:
