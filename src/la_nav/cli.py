@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from array import array
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
@@ -227,8 +226,6 @@ def parse_config(
 # At most this many pieces (rows, SVG elements or polyline points) go to one
 # write call, so no file is ever held whole in memory.
 _WRITE_CHUNK = 256
-# Rows of probs.csv's constant tail per piece (see _steady_from).
-_TAIL_ROWS = 16
 
 
 def _write_text(path: str, pieces: Iterable[str]) -> None:
@@ -249,10 +246,9 @@ def _write_text(path: str, pieces: Iterable[str]) -> None:
 # Every value they format is a Python float.
 # Every per-step writer, the SVG polyline's included, formats a row only when
 # its values differ from the previous row's, and otherwise yields the previous
-# text; probs.csv's rows from _steady_from on all have the last row's text, and
-# go out _TAIL_ROWS at a time. Equal floats have the same text unless one is
-# -0.0, and no recorded value is -0.0 (see RunRecord). NaN never equals itself,
-# so it is always formatted.
+# text. Equal floats have the same text unless one is -0.0, and no recorded
+# value is -0.0 (see RunRecord). NaN never equals itself, so it is always
+# formatted.
 def _trajectory_csv(record: RunRecord) -> Iterator[str]:
     yield "n,x,y,theta,action,flag,d,blocked\n"
     rows = zip(zip(record.x, record.y, record.theta, record.d), record.action, record.flag, record.blocked)
@@ -265,41 +261,14 @@ def _trajectory_csv(record: RunRecord) -> Iterator[str]:
         yield f"{n},{pose},{action},{flag},{dist},{blocked}\n"
 
 
-def _steady_from(values: array, width: int) -> int:
-    """The first row from which every row of ``values`` equals the last one; 0 if there are none.
-
-    Row ``i`` is ``values[i * width : (i + 1) * width]``. Runs of rows are
-    compared at once, never more than ``_WRITE_CHUNK``.
-    """
-    last = values[-width:]
-    start, span = max(len(values) // width - 1, 0), 1
-    while start and span:
-        lo = max(start - span, 0)
-        if values[lo * width : start * width] == last * (start - lo):
-            start, span = lo, min(2 * span, _WRITE_CHUNK)
-        else:
-            span //= 2
-    return start
-
-
 def _probs_csv(record: RunRecord) -> Iterator[str]:
-    r = ACTION_COUNT
-    probs = record.probs
-    yield "n," + ",".join(f"p{i}" for i in range(1, r + 1)) + "\n"
-    steady = _steady_from(probs, r)
+    yield "n," + ",".join(f"p{i}" for i in range(1, ACTION_COUNT + 1)) + "\n"
     last = None
-    for n, i in enumerate(range(0, steady * r, r), start=1):
-        values = probs[i : i + r]
+    for n, values in enumerate(zip(*[iter(record.probs)] * ACTION_COUNT), start=1):
         if values != last:
             last = values
             row = ",".join(map(repr, values))
         yield f"{n},{row}\n"
-    if record.total_steps:
-        # An absorbed or stalled automaton repeats its row to the end.
-        text = "," + ",".join(map(repr, probs[-r:])) + "\n"
-        stop = record.total_steps + 1
-        for lo in range(steady + 1, stop, _TAIL_ROWS):
-            yield text.join(map(str, range(lo, min(lo + _TAIL_ROWS, stop)))) + text
 
 
 def _summary_dict(record: RunRecord) -> dict:
@@ -481,9 +450,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     batch_json = json.dumps(batch_doc, sort_keys=True, indent=2) + "\n"
     _write_text(os.path.join(args.out, "batch_summary.json"), (batch_json,))
 
+    median = summary["steps"]["median"]
     print(
         f"{summary['runs']} runs, {successes} reached the goal "
-        f"(rate {summary['success_rate']:.2f}), median steps {summary['steps']['median']}"
+        f"(rate {summary['success_rate']:.2f}), median steps {'n/a' if median is None else median}"
     )
     for failure in failures:
         print(f"seed {failure.seed}: configuration failure: {failure.error}", file=sys.stderr)

@@ -349,11 +349,13 @@ def short_record():
 # The chunk-edge records run their whole budget, so their CSVs (a header and
 # one row per step) fill exactly one write chunk, or spill one or two rows
 # into a second.
-# probs.csv's rows from the last change on go out as one run. Literal preset 2
-# seed 3 pushes Backward into a wall: its probabilities repeat from row 620,
-# where they absorb. The tail-edge records are a literal L_R-I robot that
+# The tail records end in a long run of equal probs.csv rows, which the one
+# writer loop emits by reusing the run's first row text. Literal preset 2
+# seed 3 pushes Backward into a wall: its probabilities absorb at row 620 and
+# repeat from there. The tail-edge records are a literal L_R-I robot that
 # cannot move, so every step is rewarded; at these rates they absorb at row
-# _WRITE_CHUNK - 1 or + 1.
+# _WRITE_CHUNK - 1 or + 1 (255 or 257), so their run of equal rows starts just
+# before or just after the first write chunk's edge.
 CHUNK_EDGE_STEPS = {
     f"chunk{offset:+d}": _WRITE_CHUNK + offset for offset in (-1, 0, 1)
 }
@@ -771,6 +773,15 @@ class TestMain:
         assert doc["summary"]["config_failures"] == 2
         dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
         assert dirs == [f"seed_{k}" for k in (1, 2, 3, 4, 7, 8)]
+
+        # When every seed fails there is no median: the line says n/a, the JSON null.
+        out = tmp_path / "none-ran"
+        code = main(["batch", "--config", str(path), "--seeds", "5..6", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().out == "0 runs, 0 reached the goal (rate 0.00), median steps n/a\n"
+        doc = json.loads((out / "batch_summary.json").read_text())
+        assert doc["summary"]["runs"] == 0
+        assert doc["summary"]["steps"]["median"] is None
 
     def test_presets_verb(self, capsys):
         assert main(["presets"]) == 0
