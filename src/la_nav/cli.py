@@ -518,6 +518,10 @@ def main(argv: list[str] | None = None) -> int:
     except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # A step budget the config accepts can still be too large to record.
+        print("error: out of memory; a smaller max_steps needs less", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

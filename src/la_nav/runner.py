@@ -169,7 +169,7 @@ class ExperimentConfig(Value):
     Building a config checks it: a ``scheme``, ``robot`` or ``world`` that is
     not a ``LearningScheme``, ``RobotParams`` or ``WorldSpec``, a ``seed``,
     ``max_steps``, ``preset`` or ``feedback_literal_eq10`` of the wrong type,
-    a negative ``seed``, or a ``max_steps`` below 1 or beyond float range, is
+    a negative ``seed``, or a ``max_steps`` below 1 or above ``sys.maxsize``, is
     a ``ConfigError`` for that field, and a move-table entry that is not
     finite, or turns large enough that the heading could leave float range
     within ``max_steps``, is one for the field ``robot``. The checked table
@@ -207,11 +207,9 @@ class ExperimentConfig(Value):
             raise ConfigError("seed", f"must be non-negative, got {seed}")
         if max_steps < 1:
             raise ConfigError("max_steps", f"must be >= 1, got {max_steps}")
-        if max_steps > sys.float_info.max:
-            raise ConfigError(
-                "max_steps",
-                f"must be at most {sys.float_info.max:g}, got an integer beyond float range",
-            )
+        if max_steps > sys.maxsize:
+            # A stalled run extends each column by its length, which must fit an index.
+            raise ConfigError("max_steps", f"must be at most sys.maxsize = {sys.maxsize}, got more")
         try:
             moves = move_table(robot)
         except ValueError as exc:
@@ -396,6 +394,12 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
 
     Once ``absorbed_action`` names an action, every later step takes it with no
     draw and no update, which could not change it; the rest of the step is the same.
+
+    A blocked step whose update leaves the vector as it was is a fixed point:
+    the pose, distance, flag and vector stay, so the same action repeats the
+    row exactly. While the draws keep selecting it, those rows are appended in
+    one go; the draw that ends the run picks the next step. Absorbed, the run
+    takes the rest of the budget with no draw.
     """
     moves = config.moves
     rng = random.Random(config.seed)
@@ -417,16 +421,33 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
         # Only a scheme without penalties can absorb (see absorbed_action).
         absorbing = scheme.penalty_rate == 0.0
         absorbed = None
-        for _ in range(config.max_steps):
+        stuck = 0  # the action that repeats the last row exactly, or 0
+        remaining = config.max_steps
+        while remaining:
             action = absorbed or select_action(probs, draw())
+            if action == stuck:
+                run = remaining if absorbed else 1
+                while run < remaining and (action := select_action(probs, draw())) == stuck:
+                    run += 1
+                for column in (xs, ys, thetas, ds, actions, flags, blocks):
+                    column.extend(column[-1:] * run)
+                prob_col.extend(prob_col[-ACTION_COUNT:] * run)
+                remaining -= run
+                if not remaining:
+                    break
+            remaining -= 1
             px, py, ptheta = integrate_action(x, y, theta, moves[action - 1])
             blocked = resolve_motion(x, y, px, py, world)
             if not blocked:
                 x, y, theta = px, py, ptheta
             d = distance_to_goal(x, y, world)
             flag = compute_feedback(d, d_prev, literal=literal)
-            if not absorbed:
-                probs = apply_feedback(probs, action, flag, scheme)
+            if absorbed:
+                stuck = action if blocked else 0
+            else:
+                updated = apply_feedback(probs, action, flag, scheme)
+                stuck = action if blocked and updated == probs else 0
+                probs = updated
                 if absorbing and flag == 0:
                     absorbed = absorbed_action(probs, scheme)
             xs.append(x)

@@ -1014,6 +1014,28 @@ class TestMain:
         assert code == 0
         assert "goal_reached" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "verb,target",
+        [(["run", "--seed", "3"], "la_nav.cli.run_episode"),
+         (["batch", "--seeds", "3..4"], "la_nav.runner.run_episode")],
+        ids=["run", "batch"],
+    )
+    def test_budget_too_large_to_record_fails_with_one_line(
+        self, tmp_path, monkeypatch, capsys, verb, target
+    ):
+        # A frozen episode extends its columns by the rest of the budget in one
+        # go, so an accepted max_steps can still be too large to record. The
+        # failure is raised here, not allocated.
+        def out_of_memory(config):
+            raise MemoryError
+
+        monkeypatch.setattr(target, out_of_memory)
+        argv = [*verb, "--preset", "2", "--literal-eq10", "--max-steps", str(sys.maxsize)]
+        assert main([*argv, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: out of memory; a smaller max_steps needs less\n"
+        assert captured.out == ""
+
     def test_goal_at_start_with_derived_discs_exits_nonzero(self, tmp_path, capsys):
         # The derived pair straddles the start-to-goal line, which has no direction here.
         path = write_config(

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 from array import array
 from pathlib import Path
 
@@ -179,6 +180,17 @@ class TestEpisode:
         assert record.terminated is Termination.MAX_STEPS_EXCEEDED
         assert record.total_steps == 40
 
+    def test_goal_is_tested_at_step_ends_only(self):
+        # Seed 1's first draw selects Forward, 2.8 cm along +y through the goal
+        # centre (0, 1.4). Both ends lie 1.4 cm from it, outside the 1 cm
+        # tolerance, so crossing the goal disc does not finish the episode.
+        world = WorldSpec(goal=(0.0, 1.4), tolerance=1.0)
+        record = run_episode(pinned_goal_config(world=world, max_steps=1))
+        assert (record.action[0], record.blocked[0]) == (1, 0)
+        assert (record.x[0], record.y[0]) == (0.0, 2.8)
+        assert min(math.hypot(*record.world.goal), record.d[0]) > record.world.goal_tolerance
+        assert record.terminated is Termination.MAX_STEPS_EXCEEDED
+
     def test_rng_algorithm_recorded(self):
         record = run_episode(pinned_goal_config())
         assert record.rng_algorithm == "mt19937"
@@ -206,8 +218,10 @@ class TestEpisode:
 def reference_episode(config):
     """The columns of ``run_episode``'s record, and its termination, one step at a time.
 
-    Every step draws, selects and updates, from the public step functions
-    only: the oracle for the engine, which stops doing so once absorbed.
+    Every step draws, selects, drives, grades and updates, from the public
+    step functions only: the oracle for the engine, which stops drawing,
+    selecting and updating once absorbed, and appends a stalled run's rows
+    without driving, grading or updating them.
     """
     rng = random.Random(config.seed)
     world = build_world(config.world, rng)
@@ -244,6 +258,46 @@ def absorbed_at(record):
         if absorbed_action(row, record.config.scheme):
             return step
     return None
+
+
+def stalled_steps(record):
+    """The 1-based steps that repeat a blocked step whose update left the vector as it was.
+
+    Such a step repeats its predecessor's row exactly: these are the rows
+    ``run_episode`` appends in bulk instead of driving them.
+    """
+    rows = [init_uniform(ACTION_COUNT), *prob_rows(record)]
+    action, blocked = record.action, record.blocked
+    return [
+        i + 1 for i in range(1, record.total_steps)
+        if blocked[i - 1] and action[i] == action[i - 1] and rows[i] == rows[i - 1]
+    ]
+
+
+def run_spans(steps):
+    """Each maximal run of consecutive steps, as ``[first, last]``."""
+    spans = []
+    for step in steps:
+        if spans and spans[-1][1] == step - 1:
+            spans[-1][1] = step
+        else:
+            spans.append([step, step])
+    return spans
+
+
+def _counting(monkeypatch, names):
+    """Count the calls ``run_episode`` makes to each of ``names``."""
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(f"la_nav.runner.{name}", counting(name, globals()[name]))
+    return calls
 
 
 def _columns_bytes(record):
@@ -283,18 +337,64 @@ ABSORBING_CONFIGS = {
 }
 
 
+BOX = RectObstacle((-12.0, -20.0), (-8.0, 20.0))
+LISTED_OBSTACLES = WorldSpec(goal=(30.0, 5.0), obstacles=(DISC, BOX))
+# Episodes with blocked steps, each family with what its stalled runs must show.
+STALLING_CONFIGS = {
+    # A blocked step gets flag 0 here, and the favorable update runs at rate 0.
+    "literal-penalty-only": [
+        ExperimentConfig(
+            scheme=LearningScheme("penalty_only", 0.0, 0.7), seed=s, feedback_literal_eq10=True
+        )
+        for s in range(1, 11)
+    ],
+    # L_R-P penalizes every blocked step, so no row repeats its predecessor.
+    "preset4": [preset_config(4, seed=s) for s in range(1, 11)],
+    # Seeds 10 and 12 stall against the box, 1, 11 and 12 against the disc,
+    # 2 against the bounds; seed 1's runs are many and short.
+    "listed-obstacles": [_lri(s, world=LISTED_OBSTACLES) for s in (1, 2, 10, 11, 12)],
+    # Absorbed into a blocked move at step 620: from step 622 on, one run.
+    "literal-lri-frozen": [preset_config(2, seed=3).replace(feedback_literal_eq10=True)],
+}
+ENGINE_CONFIGS = {**ABSORBING_CONFIGS, **STALLING_CONFIGS}
+# The families with stalled runs under a vector that is not one-hot.
+STALLS_BEFORE_ABSORBING = {
+    "preset2", "general-b0", "goal-0-3000", "bounds-15", "literal-penalty-only", "listed-obstacles"
+}
+
+
+def _blocker(record, step):
+    """What blocks the move of 1-based ``step``: ``"bounds"`` or the obstacle's type name."""
+    i = step - 1
+    start = (record.x[i - 1], record.y[i - 1], record.theta[i - 1]) if i else (0.0, 0.0, 0.0)
+    px, py, _ = integrate_action(*start, record.config.moves[record.action[i] - 1])
+    if not record.world.bounds.contains(px, py):
+        return "bounds"
+    (kind,) = {type(o).__name__ for o in record.world.obstacles if o.crosses(*start[:2], px, py)}
+    return kind
+
+
 class TestAbsorbedEngine:
-    @pytest.mark.parametrize("family", sorted(ABSORBING_CONFIGS))
+    @pytest.mark.parametrize("family", sorted(ENGINE_CONFIGS))
     def test_every_column_matches_the_step_by_step_loop(self, family):
-        absorbed = []
-        for config in ABSORBING_CONFIGS[family]:
+        records = []
+        for config in ENGINE_CONFIGS[family]:
             record = run_episode(config)
             columns, terminated = reference_episode(config)
             assert _columns_bytes(record) == [c.tobytes() for c in columns], config.seed
             assert record.terminated is terminated
-            step = absorbed_at(record)
-            if step is not None and step < record.total_steps:
-                absorbed.append(record)
+            records.append(record)
+        if family in STALLING_CONFIGS:
+            spans = [run_spans(stalled_steps(r)) for r in records]
+            assert all(spans) if family != "preset4" else not any(spans)
+            if family == "listed-obstacles":
+                blockers = {_blocker(r, run[0] - 1) for r, runs in zip(records, spans) for run in runs}
+                assert blockers == {"bounds", "CircleObstacle", "RectObstacle"}
+            if family == "literal-lri-frozen":
+                assert absorbed_at(records[0]) == 620
+                assert spans[0][-1] == [622, records[0].total_steps]
+            return
+        absorbed = [r for r in records if (absorbed_at(r) or r.total_steps) < r.total_steps]
         if family == "max-steps-1":
             assert absorbed == []
             return
@@ -320,33 +420,59 @@ class TestAbsorbedEngine:
         assert _columns_bytes(record) == [c.tobytes() for c in columns]
         assert record.terminated is terminated
 
-    def test_absorbed_steps_draw_select_and_update_nothing(self, monkeypatch):
-        # One engine: an absorbed step still integrates and resolves its move.
-        counted_fns = {
-            "select_action": select_action,
-            "apply_feedback": apply_feedback,
-            "integrate_action": integrate_action,
-            "resolve_motion": resolve_motion,
-        }
-        calls = dict.fromkeys(counted_fns, 0)
 
-        def counting(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
+class TestStalledRuns:
+    @pytest.mark.parametrize("family", sorted(ENGINE_CONFIGS))
+    def test_moves_run_once_per_step_outside_a_run(self, family, monkeypatch):
+        # A stalled run draws and selects, and nothing else; an absorbed step
+        # neither draws nor selects, but drives its move unless it is in a run.
+        calls = _counting(
+            monkeypatch, ("select_action", "apply_feedback", "integrate_action", "resolve_motion")
+        )
+        stalled_before_absorbing = 0
+        for config in ENGINE_CONFIGS[family]:
+            calls.update(dict.fromkeys(calls, 0))
+            record = run_episode(config)
+            stalled = stalled_steps(record)
+            live = absorbed_at(record) or record.total_steps
+            early = sum(step <= live for step in stalled)
+            assert calls == {
+                "select_action": live,
+                "apply_feedback": live - early,
+                "integrate_action": record.total_steps - len(stalled),
+                "resolve_motion": record.total_steps - len(stalled),
+            }, config.seed
+            stalled_before_absorbing += early
+        # Under literal L_R-I a blocked step is rewarded, which moves the vector
+        # until it is one-hot; L_R-P penalizes every blocked step.
+        assert bool(stalled_before_absorbing) == (family in STALLS_BEFORE_ABSORBING)
 
-        for name, fn in counted_fns.items():
-            monkeypatch.setattr(f"la_nav.runner.{name}", counting(name, fn))
-        record = run_episode(preset_config(2, seed=1))
-        step = absorbed_at(record)
-        assert step < record.total_steps
-        assert calls == {
-            "select_action": step,
-            "apply_feedback": step,
-            "integrate_action": record.total_steps,
-            "resolve_motion": record.total_steps,
-        }
+    def test_preset2_stalls_on_a_third_of_its_steps(self):
+        # Seeds 1..20 are budget-lri's block 0: 7 of them stall against a bound.
+        records = [run_episode(preset_config(2, seed=s)) for s in range(1, 21)]
+        stalled = [len(stalled_steps(r)) for r in records]
+        assert sum(map(bool, stalled)) == 7
+        assert sum(stalled) == 34_603
+        assert sum(r.total_steps for r in records) == 100_000
+
+    @pytest.mark.parametrize(
+        "cut", ["stalling-step", "run-start", "mid-run", "run-end", "breaking-step"]
+    )
+    def test_budget_edges(self, cut):
+        # Seed 1's first run is steps 5..7; the draw of step 8 ends it.
+        base = _lri(1, world=LISTED_OBSTACLES)
+        first, last = run_spans(stalled_steps(run_episode(base)))[0]
+        assert (first, last) == (5, 7)
+        steps = {
+            "stalling-step": first - 1, "run-start": first, "mid-run": first + 1,
+            "run-end": last, "breaking-step": last + 1,
+        }[cut]
+        config = base.replace(max_steps=steps)
+        record = run_episode(config)
+        columns, terminated = reference_episode(config)
+        assert record.total_steps == steps
+        assert _columns_bytes(record) == [c.tobytes() for c in columns]
+        assert record.terminated is terminated
 
 
 class TestWorldBuilding:
@@ -539,7 +665,12 @@ class TestConfigValidation:
             (
                 {"max_steps": 10**400},
                 "max_steps",
-                "must be at most 1.79769e+308, got an integer beyond float range",
+                f"must be at most sys.maxsize = {sys.maxsize}, got more",
+            ),
+            (
+                {"max_steps": sys.maxsize + 1},
+                "max_steps",
+                f"must be at most sys.maxsize = {sys.maxsize}, got more",
             ),
             ({"seed": True}, "seed", "expected an integer, got True"),
             ({"seed": 1.5}, "seed", "expected an integer, got 1.5"),
@@ -557,6 +688,7 @@ class TestConfigValidation:
             "seed",
             "max_steps",
             "max_steps-beyond-float-range",
+            "max_steps-beyond-maxsize",
             "seed-bool",
             "seed-float",
             "max_steps-float",
@@ -581,12 +713,12 @@ class TestConfigValidation:
         ids=["never-turns", "turns-slowly"],
     )
     def test_huge_budget_builds_when_heading_stays_finite(self, robot):
-        # Built, not run: each would drive about 1e308 steps. The heading
-        # stays 0 for a still robot and below about 6e8 rad for the other.
+        # Built, not run: each would drive sys.maxsize steps, the largest
+        # budget. The heading stays 0 for a still robot and tiny for the other.
         config = ExperimentConfig(
-            scheme=LearningScheme("lrp", 0.7), seed=1, robot=robot, max_steps=10**308
+            scheme=LearningScheme("lrp", 0.7), seed=1, robot=robot, max_steps=sys.maxsize
         )
-        assert config.max_steps == 10**308
+        assert config.max_steps == sys.maxsize
 
 
 class TestWorldSpecValidation:
