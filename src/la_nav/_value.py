@@ -1,8 +1,9 @@
 """Base class of the immutable value types: equality, hash, repr, pickling and ``replace``.
 
-A subclass names its fields, in ``__init__`` order, in ``_fields`` and its
-storage in ``__slots__``. Its ``__init__`` checks and normalises the values
-and stores each one with ``_set(self, name, value)``.
+A subclass names its fields, in constructor order, in ``_fields`` and its
+storage in ``__slots__``. The base ``__init__`` stores the fields as given; a
+subclass whose values need checking or normalising has its own ``__init__``,
+which stores each one with ``_set(self, name, value)``.
 """
 
 import math
@@ -26,6 +27,17 @@ def _number(value, what: str) -> float:
 class Value:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        """Store each field, bound by position or by name as in a written signature."""
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(self._fields):
+            raise TypeError(
+                f"{self.__class__.__qualname__} takes each of its fields "
+                f"({', '.join(self._fields)}) once, by position or by name"
+            )
+        for name in self._fields:
+            _set(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

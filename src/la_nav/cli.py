@@ -522,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
         # A step budget the config accepts can still be too large to record.
         print("error: out of memory; a smaller max_steps needs less", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -268,7 +268,7 @@ class RunRecord(Value):
     ``d`` after the step, the 1-based ``action``, the feedback ``flag``
     (0 success, 1 failure) and whether the move was ``blocked``. ``probs``
     holds the action probabilities after each update, ``ACTION_COUNT``
-    values per step.
+    values per step. ``seed`` and ``config_digest`` are read from ``config``.
 
     The artifact writers rely on one property: no float in ``x``, ``y``,
     ``theta``, ``d`` or ``probs`` is -0.0, so equal values have equal text.
@@ -279,41 +279,19 @@ class RunRecord(Value):
 
     __slots__ = _fields = (
         "x", "y", "theta", "d", "probs", "action", "flag", "blocked",
-        "terminated", "seed", "config_digest", "config", "world",
+        "terminated", "config", "world",
     )
     rng_algorithm = RNG_ALGORITHM
     # Compared by value, but the array columns are mutable, so not hashable.
     __hash__ = None
 
-    def __init__(
-        self,
-        x: array,
-        y: array,
-        theta: array,
-        d: array,
-        probs: array,
-        action: array,
-        flag: array,
-        blocked: array,
-        terminated: Termination,
-        seed: int,
-        config_digest: str,
-        config: ExperimentConfig,
-        world: World,
-    ) -> None:
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "theta", theta)
-        _set(self, "d", d)
-        _set(self, "probs", probs)
-        _set(self, "action", action)
-        _set(self, "flag", flag)
-        _set(self, "blocked", blocked)
-        _set(self, "terminated", terminated)
-        _set(self, "seed", seed)
-        _set(self, "config_digest", config_digest)
-        _set(self, "config", config)
-        _set(self, "world", world)
+    @property
+    def seed(self) -> int:
+        return self.config.seed
+
+    @property
+    def config_digest(self) -> str:
+        return config_digest(self.config)
 
     @property
     def total_steps(self) -> int:
@@ -474,8 +452,6 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
         flag=flags,
         blocked=blocks,
         terminated=terminated,
-        seed=config.seed,
-        config_digest=config_digest(config),
         config=config,
         world=world,
     )
@@ -485,10 +461,6 @@ class SeedFailure(Value):
     """A seed whose world could not be materialized; the batch continues."""
 
     __slots__ = _fields = ("seed", "error")
-
-    def __init__(self, seed: int, error: str) -> None:
-        _set(self, "seed", seed)
-        _set(self, "error", error)
 
 
 def _percentile(ordered: list[int], q: int) -> float:

@@ -25,6 +25,21 @@ from test_world import exact_chord_entry
 # place until its probabilities are one-hot, seed 2 pushes into a wall.
 BATCHES = {1: range(1, 6), 2: range(1, 4), 3: range(1, 4), 4: range(1, 6)}
 
+# A config file's world with an explicit goal and one listed obstacle of each
+# shape, driven by preset 1's scheme. Each of LISTED_SEEDS has moves blocked
+# by the box and moves blocked by the disc: 17/1, 9/1, 6/3 and 8/4 of them.
+LISTED_CONFIG = {
+    "scheme": {"kind": "lrp", "a": 0.7},
+    "world": {
+        "goal": [40, 10],
+        "obstacles": [
+            {"shape": "rect", "min": [12, 0], "max": [18, 8]},
+            {"shape": "circle", "center": [28, 12], "radius": 4},
+        ],
+    },
+}
+LISTED_SEEDS = range(4, 8)
+
 # (right wheel sign, left wheel sign) of actions 1..6: Forward, RightForward,
 # LeftForward, Backward, RightBackward, LeftBackward.
 WHEEL_SIGNS = [(1, 1), (0, 1), (1, 0), (-1, -1), (0, -1), (-1, 0)]
@@ -45,6 +60,10 @@ def batch_dirs(tmp_path_factory):
     for preset, seeds in BATCHES.items():
         argv = ["batch", "--preset", str(preset), "--seeds", f"{seeds[0]}..{seeds[-1]}"]
         assert main(argv + ["--out", str(root / f"preset_{preset}")]) == 0
+    config = root / "listed.json"
+    config.write_text(json.dumps(LISTED_CONFIG))
+    argv = ["batch", "--config", str(config), "--seeds", f"{LISTED_SEEDS[0]}..{LISTED_SEEDS[-1]}"]
+    assert main(argv + ["--out", str(root / "listed")]) == 0
     return root
 
 
@@ -62,7 +81,14 @@ def auto_pair(gx, gy):
 
 
 def replay_goal(rng, recipe):
-    """The first uniformly drawn (x, y) pair that passes a naive feasibility check, and its discs."""
+    """The goal and the centres of its derived discs.
+
+    An explicit goal is taken as given, with no draw and no discs; a random
+    goal is the first uniformly drawn (x, y) pair that passes a naive
+    feasibility check.
+    """
+    if "goal" in recipe:
+        return tuple(recipe["goal"]), []
     (x_min, y_min), (x_max, y_max) = recipe["bounds"]["min"], recipe["bounds"]["max"]
     min_distance = recipe["random_goal"]["min_start_distance"]
     while True:
@@ -145,6 +171,7 @@ def chord_check(start, end, world, obstacles):
 
 
 def audit_seed(seed_dir, seed):
+    """Replay one seed's artifacts; returns how many blocked moves enter each obstacle shape."""
     summary = json.loads((seed_dir / "summary.json").read_text())
     traj = read_rows(seed_dir / "trajectory.csv")
     prob_rows = read_rows(seed_dir / "probs.csv")
@@ -156,15 +183,19 @@ def audit_seed(seed_dir, seed):
     rng = random.Random(seed)
     goal, centres = replay_goal(rng, config["world"])
     assert tuple(world["goal"]) == goal
-    placed = [v for obs in world["obstacles"] for v in obs["center"]]
-    assert placed == pytest.approx([v for centre in centres for v in centre], abs=1e-12)
-    assert all(o["radius"] == PAIR_RADIUS for o in world["obstacles"])
+    if config["world"]["obstacles"] == "auto":
+        placed = [v for obs in world["obstacles"] for v in obs["center"]]
+        assert placed == pytest.approx([v for centre in centres for v in centre], abs=1e-12)
+        assert all(o["radius"] == PAIR_RADIUS for o in world["obstacles"])
+    else:
+        assert world["obstacles"] == config["world"]["obstacles"]
     obstacles = obstacle_objects(world)
     gx, gy = goal
     tolerance = world["tolerance"]
 
     assert len(traj) == len(prob_rows) == summary["total_steps"]
     probs = [1 / 6] * 6
+    blocked_by = {"circle": 0, "rect": 0}
     x = y = theta = 0.0
     d = math.sqrt(gx * gx + gy * gy)
     for n, (row, prow) in enumerate(zip(traj, prob_rows), start=1):
@@ -181,6 +212,8 @@ def audit_seed(seed_dir, seed):
             # clears everything by less than that may have been blocked.
             hit, margin = chord_check((x, y), (ex, ey), world, obstacles)
             assert hit or margin > -POSE_TOL_CM, f"step {n}"
+            for spec, obs in zip(world["obstacles"], obstacles):
+                blocked_by[spec["shape"]] += exact_chord_entry((x, y), (ex, ey), obs)[0]
         else:
             assert math.dist(pose[:2], (ex, ey)) <= POSE_TOL_CM, f"step {n}"
             assert abs(pose[2] - etheta) <= 1e-12 * max(1.0, abs(etheta)), f"step {n}"
@@ -202,6 +235,7 @@ def audit_seed(seed_dir, seed):
         assert summary["terminated"] == "max_steps_exceeded"
         assert len(traj) == config["max_steps"] and d > tolerance
     assert summary["final_pose"] == {"x": x, "y": y, "theta": theta}
+    return blocked_by
 
 
 @pytest.mark.parametrize("preset, seed", [(p, s) for p, seeds in BATCHES.items() for s in seeds])
@@ -209,3 +243,11 @@ def test_trace_replays_from_the_seed(batch_dirs, preset, seed):
     out = batch_dirs / f"preset_{preset}"
     assert json.loads((out / "batch_summary.json").read_text())["seeds"] == list(BATCHES[preset])
     audit_seed(out / f"seed_{seed}", seed)
+
+
+@pytest.mark.parametrize("seed", LISTED_SEEDS)
+def test_listed_obstacles_replay_and_each_shape_blocks(batch_dirs, seed):
+    out = batch_dirs / "listed"
+    assert json.loads((out / "batch_summary.json").read_text())["seeds"] == list(LISTED_SEEDS)
+    blocked_by = audit_seed(out / f"seed_{seed}", seed)
+    assert blocked_by["rect"] >= 1 and blocked_by["circle"] >= 1, blocked_by

@@ -1036,6 +1036,17 @@ class TestMain:
         assert captured.err == "error: out of memory; a smaller max_steps needs less\n"
         assert captured.out == ""
 
+    def test_interrupt_ends_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # Ctrl-C while a seed's artifacts are written.
+        def interrupted(record, out_dir):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("la_nav.cli.emit_artifacts", interrupted)
+        assert main(["batch", "--preset", "2", "--seeds", "1..3", "--out", str(tmp_path / "o")]) == 130
+        captured = capsys.readouterr()
+        assert captured.err == "error: interrupted\n"
+        assert "Traceback" not in captured.err + captured.out
+
     def test_goal_at_start_with_derived_discs_exits_nonzero(self, tmp_path, capsys):
         # The derived pair straddles the start-to-goal line, which has no direction here.
         path = write_config(
@@ -1183,3 +1194,18 @@ class TestStartupImports:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+    def test_an_episode_hashes_nothing(self):
+        # The record reads its digest from its config on demand; the episode never hashes.
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
+            "import la_nav\n"
+            "record = la_nav.run_episode(la_nav.preset_config(1, 1).replace(max_steps=5))\n"
+            "print(record.total_steps, 'hashlib' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "5 False"

@@ -20,6 +20,7 @@ from la_nav import (
     Termination,
     World,
     WorldSpec,
+    config_digest,
     move_table,
     preset_config,
     run_episode,
@@ -45,8 +46,6 @@ def small_record():
         flag=array("b", [0]),
         blocked=array("b", [0]),
         terminated=Termination.MAX_STEPS_EXCEEDED,
-        seed=7,
-        config_digest="ab12",
         config=preset_config(1, 7),
         world=World((30.0, 5.0)),
     )
@@ -93,8 +92,8 @@ REPRS = [
         "RunRecord(x=array('d', [0.5]), y=array('d', [-1.25]), theta=array('d', [0.0]), "
         "d=array('d', [30.0]), probs=array('d', [0.5, 0.1, 0.1, 0.1, 0.1, 0.1]), "
         "action=array('b', [1]), flag=array('b', [0]), blocked=array('b', [0]), "
-        "terminated=<Termination.MAX_STEPS_EXCEEDED: 'max_steps_exceeded'>, seed=7, "
-        f"config_digest='ab12', config=ExperimentConfig(scheme={LRP}, seed=7, robot={ROBOT}, "
+        "terminated=<Termination.MAX_STEPS_EXCEEDED: 'max_steps_exceeded'>, "
+        f"config=ExperimentConfig(scheme={LRP}, seed=7, robot={ROBOT}, "
         f"world=WorldSpec(goal=None, tolerance=2.0, bounds={DEFAULT_BOUNDS}, obstacles=(), "
         "min_start_distance=20.0, auto_blocking_pair=False), max_steps=5000, "
         "feedback_literal_eq10=False, preset=1), world=World(goal=(30.0, 5.0), "
@@ -187,8 +186,14 @@ def test_unequal_fields_compare_unequal():
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: preset_config(4, 3), small_world, lambda: run_episode(preset_config(1, 5))],
-    ids=["config", "world", "record"],
+    [
+        lambda: preset_config(4, 3),
+        small_world,
+        lambda: run_episode(preset_config(1, 5)),
+        lambda: run_episode(preset_config(2, 3).replace(max_steps=40)),
+        lambda: SeedFailure(3, "no feasible goal"),
+    ],
+    ids=["config", "world", "record", "record-max-steps", "seed-failure"],
 )
 def test_pickle_and_deepcopy_round_trip(build):
     value = build()
@@ -197,6 +202,37 @@ def test_pickle_and_deepcopy_round_trip(build):
         assert repr(twin) == repr(value)
     if hasattr(value, "moves"):
         assert pickle.loads(pickle.dumps(value)).moves == value.moves
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SeedFailure(3),
+        lambda: SeedFailure(3, "e", 4),
+        lambda: SeedFailure(3, seed=4),
+        lambda: SeedFailure(seed=3, err="e"),
+    ],
+    ids=["missing", "surplus", "repeated", "unknown"],
+)
+def test_plain_constructor_binds_each_field_once(build):
+    with pytest.raises(TypeError) as err:
+        build()
+    assert str(err.value) == "SeedFailure takes each of its fields (seed, error) once, by position or by name"
+
+
+def test_plain_constructor_binds_by_position_or_by_name():
+    assert SeedFailure(3, error="e") == SeedFailure(seed=3, error="e") == SeedFailure(error="e", seed=3)
+    failure = SeedFailure(3, error="e")
+    assert (failure.seed, failure.error) == (3, "e")
+
+
+def test_record_reads_seed_and_digest_from_its_config():
+    record = run_episode(preset_config(2, 3).replace(max_steps=40))
+    assert (record.seed, record.config_digest) == (3, config_digest(record.config))
+    longer = record.replace(config=record.config.replace(max_steps=41))
+    assert longer.seed == 3
+    assert longer.config_digest == config_digest(longer.config) != record.config_digest
+    assert "seed" not in record._fields and "config_digest" not in record._fields
 
 
 def test_replace_checks_the_new_values():
