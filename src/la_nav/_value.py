@@ -1,9 +1,10 @@
 """Base class of the immutable value types: equality, hash, repr, pickling and ``replace``.
 
 A subclass names its fields, in constructor order, in ``_fields`` and its
-storage in ``__slots__``. The base ``__init__`` stores the fields as given; a
-subclass whose values need checking or normalising has its own ``__init__``,
-which stores each one with ``_set(self, name, value)``.
+storage in ``__slots__``. The base ``__init__`` binds every field exactly once.
+A subclass whose values need checking or normalising checks them in its own
+``__init__`` and passes them to ``Value.__init__``; ``_set(self, name, value)``
+is only for a derived slot that is not a field.
 """
 
 import math

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ._value import Value, _number, _set
+from ._value import Value, _number
 
 SUM_TOLERANCE = 1e-9
 
@@ -112,9 +112,7 @@ class LearningScheme(Value):
             raise ValueError("reward-inaction scheme requires a zero penalty rate")
         if kind is SchemeKind.PENALTY_ONLY and reward_rate != 0.0:
             raise ValueError("penalty-only scheme requires a zero reward rate")
-        _set(self, "kind", kind)
-        _set(self, "reward_rate", reward_rate)
-        _set(self, "penalty_rate", penalty_rate)
+        super().__init__(kind, reward_rate, penalty_rate)
 
 
 def _check_action(chosen: int, r: int) -> None:

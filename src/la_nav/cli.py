@@ -27,7 +27,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from .automata import LearningScheme, SchemeKind, _family_rates
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, build
 from .kinematics import ACTION_COUNT, RobotParams
 from .runner import (
     PRESETS,
@@ -65,14 +65,6 @@ def _reject_unknown(value, allowed: set, path: str) -> None:
             raise ConfigError(where, f"unknown key (allowed: {', '.join(sorted(allowed))})")
 
 
-def _build(path: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``; its ValueError becomes a ConfigError for ``path``."""
-    try:
-        return make(*args, **kwargs)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from None
-
-
 def _build_scheme(data: dict, preset: LearningScheme | None) -> LearningScheme:
     """The section's scheme, kind defaulting to ``preset``'s; ``preset`` fills a rate the family leaves missing."""
     _reject_unknown(data, _SCHEME_KEYS, "scheme")
@@ -90,13 +82,13 @@ def _build_scheme(data: dict, preset: LearningScheme | None) -> LearningScheme:
     if preset is not None:
         a = preset.reward_rate if a is None else a
         b = preset.penalty_rate if b is None else b
-    return _build("scheme", LearningScheme, kind, a, b)
+    return build("scheme", LearningScheme, kind, a, b)
 
 
 def _build_robot(data: dict) -> RobotParams:
     _reject_unknown(data, ROBOT_KEYS, "robot")
     params = {name: data[key] for key, name in ROBOT_KEYS.items() if key in data}
-    return _build("robot", RobotParams, **params)
+    return build("robot", RobotParams, **params)
 
 
 def _build_obstacle(data, index: int):
@@ -106,19 +98,19 @@ def _build_obstacle(data, index: int):
     shape = data.get("shape")
     if shape == "circle":
         _reject_unknown(data, _CIRCLE_KEYS, path)
-        return _build(path, CircleObstacle, data.get("center"), data.get("radius"))
+        return build(path, CircleObstacle, data.get("center"), data.get("radius"))
     if shape == "rect":
         _reject_unknown(data, _RECT_KEYS, path)
-        return _build(path, RectObstacle, data.get("min"), data.get("max"))
+        return build(path, RectObstacle, data.get("min"), data.get("max"))
     raise ConfigError(f"{path}.shape", f"expected 'circle' or 'rect', got {shape!r}")
 
 
 def _build_bounds(data: dict) -> Bounds:
     _reject_unknown(data, _BOUNDS_KEYS, "world.bounds")
     d = Bounds()  # a corner left out is the default's
-    lo = _build("world.bounds", _point, data.get("min", (d.x_min, d.y_min)), "bounds min corner")
-    hi = _build("world.bounds", _point, data.get("max", (d.x_max, d.y_max)), "bounds max corner")
-    return _build("world.bounds", Bounds, *lo, *hi)
+    lo = build("world.bounds", _point, data.get("min", (d.x_min, d.y_min)), "bounds min corner")
+    hi = build("world.bounds", _point, data.get("max", (d.x_max, d.y_max)), "bounds max corner")
+    return build("world.bounds", Bounds, *lo, *hi)
 
 
 def _build_world_spec(data: dict, auto_blocking_pair: bool) -> WorldSpec:
@@ -148,7 +140,7 @@ def _build_world_spec(data: dict, auto_blocking_pair: bool) -> WorldSpec:
         spec["obstacles"] = tuple(_build_obstacle(o, i) for i, o in enumerate(raw_obstacles))
     else:
         raise ConfigError("world.obstacles", f"expected a list or 'auto', got {raw_obstacles!r}")
-    return _build("world", WorldSpec, **spec)
+    return build("world", WorldSpec, **spec)
 
 
 def _resolve_seed(data: dict, env: dict):

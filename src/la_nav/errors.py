@@ -16,6 +16,17 @@ class ConfigError(SimulationError):
         super().__init__(f"config field '{field}': {message}")
 
 
+def build(field: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; its ``ValueError`` becomes a ``ConfigError`` for ``field``.
+
+    The message is kept, so a value type's check reads the same with its field named.
+    """
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(field, str(exc)) from None
+
+
 class InfeasibleWorldError(SimulationError):
     """A seed's random goal found no place within 10 000 draws.
 

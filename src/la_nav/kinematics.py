@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from enum import IntEnum
 
-from ._value import Value, _number, _set
+from ._value import Value, _number
 
 
 class RobotParams(Value):
@@ -40,6 +40,7 @@ class RobotParams(Value):
         wheel_speed: float = 2.0,
         action_duration: float = 0.5,
     ) -> None:
+        checked = []
         for name, value in zip(self._fields, (wheel_radius, axle_length, wheel_speed, action_duration)):
             what = name.replace("_", " ")
             value = _number(value, what)
@@ -48,7 +49,8 @@ class RobotParams(Value):
                     raise ValueError(f"{what} must be non-negative, got {value!r}")
             elif not value > 0:
                 raise ValueError(f"{what} must be positive, got {value!r}")
-            _set(self, name, value)
+            checked.append(value)
+        super().__init__(*checked)
 
 
 class Action(IntEnum):

@@ -20,7 +20,7 @@ from enum import Enum
 
 from ._value import Value, _set
 from .automata import LearningScheme, absorbed_action, apply_feedback, init_uniform, select_action
-from .errors import ConfigError, InfeasibleWorldError
+from .errors import ConfigError, InfeasibleWorldError, build
 from .kinematics import ACTION_COUNT, RobotParams, integrate_action, move_table
 from .world import (
     DEFAULT_MIN_START_DISTANCE_CM,
@@ -98,11 +98,7 @@ class WorldSpec(Value):
             raise ConfigError(
                 "world.auto_blocking_pair", f"expected true/false, got {auto_blocking_pair!r}"
             )
-        if goal is not None:
-            try:
-                goal = _point(goal, "goal")
-            except ValueError as exc:
-                raise ConfigError("world.goal", str(exc)) from None
+        goal = None if goal is None else build("world.goal", _point, goal, "goal")
         tolerance = _finite(tolerance, "tolerance")
         min_start_distance = _finite(min_start_distance, "min start distance")
         if not tolerance > 0:
@@ -120,10 +116,7 @@ class WorldSpec(Value):
             if isinstance(culprit, tuple):  # the derived pair
                 trapped = f"blocking pair derived from goal {goal} traps the start or the goal"
                 raise ConfigError("world.goal", trapped)
-            try:
-                world = World(goal, tolerance, goal_obstacles, bounds)
-            except ValueError as exc:
-                raise ConfigError("world.goal", str(exc)) from None
+            world = build("world.goal", World, goal, tolerance, goal_obstacles, bounds)
         if not bounds.contains(0.0, 0.0):
             raise ConfigError("world.bounds", "bounds must contain the start position (0, 0)")
         if any(obs.contains(0.0, 0.0) for obs in obstacles):
@@ -137,12 +130,7 @@ class WorldSpec(Value):
                     f"min start distance {min_start_distance:g} cm exceeds {farthest:g} cm, "
                     "the largest distance from the start (0, 0) to a point of the bounds",
                 )
-        _set(self, "goal", goal)
-        _set(self, "tolerance", tolerance)
-        _set(self, "bounds", bounds)
-        _set(self, "obstacles", obstacles)
-        _set(self, "min_start_distance", min_start_distance)
-        _set(self, "auto_blocking_pair", auto_blocking_pair)
+        super().__init__(goal, tolerance, bounds, obstacles, min_start_distance, auto_blocking_pair)
         # Derived from the fields: out of eq, hash, repr and replace.
         _set(self, "world", world)
 
@@ -210,10 +198,7 @@ class ExperimentConfig(Value):
         if max_steps > sys.maxsize:
             # A stalled run extends each column by its length, which must fit an index.
             raise ConfigError("max_steps", f"must be at most sys.maxsize = {sys.maxsize}, got more")
-        try:
-            moves = move_table(robot)
-        except ValueError as exc:
-            raise ConfigError("robot", str(exc)) from None
+        moves = build("robot", move_table, robot)
         # The heading is a sum of at most max_steps turns, so this bound keeps
         # it, and every mid-arc heading, finite for the whole episode. The turn
         # goes first, so a robot that never turns gives 0.0, not 0.0 * inf.
@@ -221,13 +206,7 @@ class ExperimentConfig(Value):
             raise ConfigError(
                 "robot", f"the heading can leave float range within {max_steps} steps"
             )
-        _set(self, "scheme", scheme)
-        _set(self, "seed", seed)
-        _set(self, "robot", robot)
-        _set(self, "world", world)
-        _set(self, "max_steps", max_steps)
-        _set(self, "feedback_literal_eq10", feedback_literal_eq10)
-        _set(self, "preset", preset)
+        super().__init__(scheme, seed, robot, world, max_steps, feedback_literal_eq10, preset)
         # Derived from robot: out of eq, hash, repr and replace.
         _set(self, "moves", moves)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ._value import Value, _number, _set
+from ._value import Value, _number
 
 GOAL_TOLERANCE_CM = 2.0
 DEFAULT_MIN_START_DISTANCE_CM = 20.0
@@ -47,8 +47,8 @@ class Bounds(Value):
     def __init__(
         self, x_min: float = -100.0, y_min: float = -100.0, x_max: float = 100.0, y_max: float = 100.0
     ) -> None:
-        for name, value in zip(self._fields, (x_min, y_min, x_max, y_max)):
-            _set(self, name, _finite(value, f"bounds {name}"))
+        edges = zip(self._fields, (x_min, y_min, x_max, y_max))
+        super().__init__(*[_finite(value, f"bounds {name}") for name, value in edges])
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"degenerate bounds {self!r}")
 
@@ -68,8 +68,7 @@ class CircleObstacle(Value):
         radius = _finite(radius, "circle radius")
         if not radius > 0:
             raise ValueError(f"circle radius must be positive, got {radius!r}")
-        _set(self, "center", _point(center, "circle center"))
-        _set(self, "radius", radius)
+        super().__init__(_point(center, "circle center"), radius)
 
     def contains(self, x: float, y: float) -> bool:
         dx = x - self.center[0]
@@ -108,8 +107,9 @@ class RectObstacle(Value):
     __slots__ = _fields = ("min_corner", "max_corner")
 
     def __init__(self, min_corner: tuple[float, float], max_corner: tuple[float, float]) -> None:
-        _set(self, "min_corner", _point(min_corner, "rectangle min corner"))
-        _set(self, "max_corner", _point(max_corner, "rectangle max corner"))
+        super().__init__(
+            _point(min_corner, "rectangle min corner"), _point(max_corner, "rectangle max corner")
+        )
         if not (self.min_corner[0] < self.max_corner[0] and self.min_corner[1] < self.max_corner[1]):
             raise ValueError(f"degenerate rectangle {self!r}")
 
@@ -182,10 +182,7 @@ class World(Value):
             raise ValueError(f"goal {goal} outside bounds {bounds!r}")
         if culprit is not None:
             raise ValueError(f"goal {goal} lies inside obstacle {culprit!r}")
-        _set(self, "goal", goal)
-        _set(self, "goal_tolerance", goal_tolerance)
-        _set(self, "obstacles", obstacles)
-        _set(self, "bounds", bounds)
+        super().__init__(goal, goal_tolerance, obstacles, bounds)
 
     def to_dict(self) -> dict:
         return {

@@ -40,6 +40,22 @@ LISTED_CONFIG = {
 }
 LISTED_SEEDS = range(4, 8)
 
+# A random goal in tight bounds beside a box that touches two bounds and a
+# listed disc, driven by preset 1's scheme. Seed 16 redraws its goal twice,
+# seed 22's blocked moves mostly enter the disc, and seed 38's enter the box.
+RANDOM_GOAL_CONFIG = {
+    "scheme": {"kind": "lrp", "a": 0.7},
+    "world": {
+        "random_goal": {"min_start_distance": 10},
+        "bounds": {"min": [-30, -30], "max": [30, 30]},
+        "obstacles": [
+            {"shape": "rect", "min": [18, -30], "max": [30, -12]},
+            {"shape": "circle", "center": [-14, 12], "radius": 9},
+        ],
+    },
+}
+RANDOM_GOAL_SEEDS = (16, 22, 38)
+
 # (right wheel sign, left wheel sign) of actions 1..6: Forward, RightForward,
 # LeftForward, Backward, RightBackward, LeftBackward.
 WHEEL_SIGNS = [(1, 1), (0, 1), (1, 0), (-1, -1), (0, -1), (-1, 0)]
@@ -64,6 +80,11 @@ def batch_dirs(tmp_path_factory):
     config.write_text(json.dumps(LISTED_CONFIG))
     argv = ["batch", "--config", str(config), "--seeds", f"{LISTED_SEEDS[0]}..{LISTED_SEEDS[-1]}"]
     assert main(argv + ["--out", str(root / "listed")]) == 0
+    config = root / "random_goal.json"
+    config.write_text(json.dumps(RANDOM_GOAL_CONFIG))
+    for seed in RANDOM_GOAL_SEEDS:
+        argv = ["batch", "--config", str(config), "--seeds", str(seed)]
+        assert main(argv + ["--out", str(root / "random_goal")]) == 0
     return root
 
 
@@ -80,32 +101,44 @@ def auto_pair(gx, gy):
     return [near, far]
 
 
+def holds(obs, x, y):
+    """Whether the listed obstacle ``obs`` (a config dict) holds (x, y) in its open interior."""
+    if obs["shape"] == "circle":
+        return math.dist((x, y), obs["center"]) < obs["radius"]
+    (x0, y0), (x1, y1) = obs["min"], obs["max"]
+    return x0 < x < x1 and y0 < y < y1
+
+
 def replay_goal(rng, recipe):
-    """The goal and the centres of its derived discs.
+    """The goal, the centres of its derived discs, and how many draws a listed obstacle held.
 
     An explicit goal is taken as given, with no draw and no discs; a random
     goal is the first uniformly drawn (x, y) pair that passes a naive
-    feasibility check.
+    feasibility check: far enough from the start, and outside every listed
+    obstacle or clear of the derived pair.
     """
     if "goal" in recipe:
-        return tuple(recipe["goal"]), []
+        return tuple(recipe["goal"]), [], 0
     (x_min, y_min), (x_max, y_max) = recipe["bounds"]["min"], recipe["bounds"]["max"]
     min_distance = recipe["random_goal"]["min_start_distance"]
+    redraws = 0
     while True:
         gx = x_min + (x_max - x_min) * rng.random()
         gy = y_min + (y_max - y_min) * rng.random()
         if math.dist((gx, gy), (0, 0)) < min_distance:
             continue
         if recipe["obstacles"] != "auto":
-            assert recipe["obstacles"] == []
-            return (gx, gy), []
+            if any(holds(obs, gx, gy) for obs in recipe["obstacles"]):
+                redraws += 1
+                continue
+            return (gx, gy), [], redraws
         centres = auto_pair(gx, gy)
         if all(
             math.dist(c, (0, 0)) - PAIR_RADIUS > START_CLEARANCE
             and math.dist(c, (gx, gy)) - PAIR_RADIUS > recipe["tolerance"]
             for c in centres
         ):
-            return (gx, gy), centres
+            return (gx, gy), centres, redraws
 
 
 def scan(probs, z):
@@ -171,7 +204,11 @@ def chord_check(start, end, world, obstacles):
 
 
 def audit_seed(seed_dir, seed):
-    """Replay one seed's artifacts; returns how many blocked moves enter each obstacle shape."""
+    """Replay one seed's artifacts.
+
+    Returns how many blocked moves enter each obstacle shape or end outside
+    the bounds, and how many goal draws a listed obstacle held.
+    """
     summary = json.loads((seed_dir / "summary.json").read_text())
     traj = read_rows(seed_dir / "trajectory.csv")
     prob_rows = read_rows(seed_dir / "probs.csv")
@@ -181,7 +218,7 @@ def audit_seed(seed_dir, seed):
     assert summary["rng_algorithm"] == "mt19937"
 
     rng = random.Random(seed)
-    goal, centres = replay_goal(rng, config["world"])
+    goal, centres, redraws = replay_goal(rng, config["world"])
     assert tuple(world["goal"]) == goal
     if config["world"]["obstacles"] == "auto":
         placed = [v for obs in world["obstacles"] for v in obs["center"]]
@@ -195,7 +232,8 @@ def audit_seed(seed_dir, seed):
 
     assert len(traj) == len(prob_rows) == summary["total_steps"]
     probs = [1 / 6] * 6
-    blocked_by = {"circle": 0, "rect": 0}
+    blocked_by = {"circle": 0, "rect": 0, "bounds": 0}
+    (x_min, y_min), (x_max, y_max) = world["bounds"]["min"], world["bounds"]["max"]
     x = y = theta = 0.0
     d = math.sqrt(gx * gx + gy * gy)
     for n, (row, prow) in enumerate(zip(traj, prob_rows), start=1):
@@ -214,6 +252,7 @@ def audit_seed(seed_dir, seed):
             assert hit or margin > -POSE_TOL_CM, f"step {n}"
             for spec, obs in zip(world["obstacles"], obstacles):
                 blocked_by[spec["shape"]] += exact_chord_entry((x, y), (ex, ey), obs)[0]
+            blocked_by["bounds"] += not (x_min <= ex <= x_max and y_min <= ey <= y_max)
         else:
             assert math.dist(pose[:2], (ex, ey)) <= POSE_TOL_CM, f"step {n}"
             assert abs(pose[2] - etheta) <= 1e-12 * max(1.0, abs(etheta)), f"step {n}"
@@ -235,7 +274,7 @@ def audit_seed(seed_dir, seed):
         assert summary["terminated"] == "max_steps_exceeded"
         assert len(traj) == config["max_steps"] and d > tolerance
     assert summary["final_pose"] == {"x": x, "y": y, "theta": theta}
-    return blocked_by
+    return blocked_by, redraws
 
 
 @pytest.mark.parametrize("preset, seed", [(p, s) for p, seeds in BATCHES.items() for s in seeds])
@@ -249,5 +288,15 @@ def test_trace_replays_from_the_seed(batch_dirs, preset, seed):
 def test_listed_obstacles_replay_and_each_shape_blocks(batch_dirs, seed):
     out = batch_dirs / "listed"
     assert json.loads((out / "batch_summary.json").read_text())["seeds"] == list(LISTED_SEEDS)
-    blocked_by = audit_seed(out / f"seed_{seed}", seed)
+    blocked_by, _ = audit_seed(out / f"seed_{seed}", seed)
     assert blocked_by["rect"] >= 1 and blocked_by["circle"] >= 1, blocked_by
+
+
+def test_random_goal_beside_listed_obstacles_replays(batch_dirs):
+    total = {"circle": 0, "rect": 0, "bounds": 0, "redraws": 0}
+    for seed in RANDOM_GOAL_SEEDS:
+        blocked_by, redraws = audit_seed(batch_dirs / "random_goal" / f"seed_{seed}", seed)
+        for kind, count in blocked_by.items():
+            total[kind] += count
+        total["redraws"] += redraws
+    assert all(count >= 1 for count in total.values()), total

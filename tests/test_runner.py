@@ -683,6 +683,11 @@ class TestConfigValidation:
             ({"scheme": None}, "scheme", "expected a LearningScheme, got None"),
             ({"robot": {"c": 3.0}}, "robot", "expected a RobotParams, got {'c': 3.0}"),
             ({"world": None}, "world", "expected a WorldSpec, got None"),
+            (
+                {"robot": RobotParams(wheel_radius=1e200, wheel_speed=1e200)},
+                "robot",
+                "action Forward travels or turns beyond float range",
+            ),
         ],
         ids=[
             "seed",
@@ -700,6 +705,7 @@ class TestConfigValidation:
             "scheme-none",
             "robot-dict",
             "world-none",
+            "robot-travel-overflows",
         ],
     )
     def test_rejects_negative_seed_and_empty_budget(self, kwargs, field, message):
@@ -750,8 +756,23 @@ class TestWorldSpecValidation:
             ({"auto_blocking_pair": "no"}, "world.auto_blocking_pair", "expected true/false, got 'no'"),
             ({"obstacles": 5}, "world.obstacles", "expected a list of obstacles, got 5"),
             ({"obstacles": None}, "world.obstacles", "expected a list of obstacles, got None"),
+            (
+                {"goal": (500.0, 0.0)},
+                "world.goal",
+                "goal (500.0, 0.0) outside bounds "
+                "Bounds(x_min=-100.0, y_min=-100.0, x_max=100.0, y_max=100.0)",
+            ),
+            (
+                {"goal": (30.0, 0.0), "obstacles": (CircleObstacle((30.0, 0.0), 5.0),)},
+                "world.goal",
+                "goal (30.0, 0.0) lies inside obstacle "
+                "CircleObstacle(center=(30.0, 0.0), radius=5.0)",
+            ),
         ],
-        ids=["bounds-none", "obstacle-int", "pair-string", "obstacles-int", "obstacles-none"],
+        ids=[
+            "bounds-none", "obstacle-int", "pair-string", "obstacles-int", "obstacles-none",
+            "goal-outside-bounds", "goal-inside-obstacle",
+        ],
     )
     def test_rejects_wrong_types(self, kwargs, field, message):
         with pytest.raises(ConfigError) as err:

@@ -192,16 +192,18 @@ def test_unequal_fields_compare_unequal():
         lambda: run_episode(preset_config(1, 5)),
         lambda: run_episode(preset_config(2, 3).replace(max_steps=40)),
         lambda: SeedFailure(3, "no feasible goal"),
+        lambda: WorldSpec(goal=(30.0, 5.0), obstacles=[CircleObstacle((10, 0), 3)]),
     ],
-    ids=["config", "world", "record", "record-max-steps", "seed-failure"],
+    ids=["config", "world", "record", "record-max-steps", "seed-failure", "explicit-goal-spec"],
 )
 def test_pickle_and_deepcopy_round_trip(build):
     value = build()
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert twin == value
         assert repr(twin) == repr(value)
-    if hasattr(value, "moves"):
-        assert pickle.loads(pickle.dumps(value)).moves == value.moves
+        # Every slot, the derived ones (moves, world) that eq ignores included.
+        for name in type(value).__slots__:
+            assert getattr(twin, name) == getattr(value, name), name
 
 
 @pytest.mark.parametrize(
