@@ -72,6 +72,11 @@ def _family_rates(kind: SchemeKind, reward_rate, penalty_rate) -> tuple:
     return reward_rate, penalty_rate
 
 
+def _check_rate(rate: float, what: str) -> None:
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"{what} {rate!r} outside [0, 1]")
+
+
 class LearningScheme(Value):
     """Reinforcement scheme: reward/penalty rates plus the scheme family.
 
@@ -102,10 +107,8 @@ class LearningScheme(Value):
             raise ValueError(_MISSING_RATE[kind])
         reward_rate = _number(reward_rate, "reward rate")
         penalty_rate = _number(penalty_rate, "penalty rate")
-        if not 0.0 <= reward_rate <= 1.0:
-            raise ValueError(f"reward rate {reward_rate!r} outside [0, 1]")
-        if not 0.0 <= penalty_rate <= 1.0:
-            raise ValueError(f"penalty rate {penalty_rate!r} outside [0, 1]")
+        _check_rate(reward_rate, "reward rate")
+        _check_rate(penalty_rate, "penalty rate")
         if kind is SchemeKind.LRP and reward_rate != penalty_rate:
             raise ValueError("reward-penalty scheme requires equal reward and penalty rates")
         if kind is SchemeKind.LRI and penalty_rate != 0.0:
@@ -166,8 +169,7 @@ def update_p_favorable(p: tuple[float, ...], chosen: int, reward_rate: float) ->
         p_other'  = (1 - reward_rate) * p_other
     """
     _check_action(chosen, len(p))
-    if not 0.0 <= reward_rate <= 1.0:
-        raise ValueError(f"reward rate {reward_rate!r} outside [0, 1]")
+    _check_rate(reward_rate, "reward rate")
     if reward_rate == 0.0:
         return p
     keep = 1.0 - reward_rate
@@ -187,8 +189,7 @@ def update_p_unfavorable(p: tuple[float, ...], chosen: int, penalty_rate: float)
         p_other'  = penalty_rate / (r - 1) + (1 - penalty_rate) * p_other
     """
     _check_action(chosen, len(p))
-    if not 0.0 <= penalty_rate <= 1.0:
-        raise ValueError(f"penalty rate {penalty_rate!r} outside [0, 1]")
+    _check_rate(penalty_rate, "penalty rate")
     if penalty_rate == 0.0:
         return p
     keep = 1.0 - penalty_rate

@@ -285,6 +285,21 @@ def _svg_coord(v: float) -> str:
     return format(v + 0.0, ".6g")
 
 
+# Element writers: they take world coordinates and negate y; a rect's (x, y) is its top-left corner.
+def _rect(cls: str, x: float, y: float, w: float, h: float, paint: str) -> str:
+    return (
+        f'<rect class="{cls}" x="{_svg_coord(x)}" y="{_svg_coord(-y)}" '
+        f'width="{_svg_coord(w)}" height="{_svg_coord(h)}" {paint}/>\n'
+    )
+
+
+def _circle(cls: str, cx: float, cy: float, r: float, paint: str) -> str:
+    return (
+        f'<circle class="{cls}" cx="{_svg_coord(cx)}" cy="{_svg_coord(-cy)}" '
+        f'r="{_svg_coord(r)}" {paint}/>\n'
+    )
+
+
 def _svg(record: RunRecord) -> Iterator[str]:
     """Yield the text of ``plot.svg`` one element, or one polyline point, at a time.
 
@@ -303,35 +318,18 @@ def _svg(record: RunRecord) -> Iterator[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{px_w}" height="{px_h}" '
         f'viewBox="{_svg_coord(x0)} {_svg_coord(y0)} {_svg_coord(width)} {_svg_coord(height)}">\n'
     )
-    yield (
-        f'<rect class="workspace" x="{_svg_coord(b.x_min)}" y="{_svg_coord(-b.y_max)}" '
-        f'width="{_svg_coord(b.x_max - b.x_min)}" height="{_svg_coord(b.y_max - b.y_min)}" '
-        f'fill="white" stroke="black" stroke-width="0.4"/>\n'
-    )
+    paint = 'fill="white" stroke="black" stroke-width="0.4"'
+    yield _rect("workspace", b.x_min, b.y_max, b.x_max - b.x_min, b.y_max - b.y_min, paint)
+    paint = 'fill="#d0d0d0" stroke="#606060" stroke-width="0.4"'
     for obs in record.world.obstacles:
         if isinstance(obs, CircleObstacle):
-            yield (
-                f'<circle class="obstacle" cx="{_svg_coord(obs.center[0])}" '
-                f'cy="{_svg_coord(-obs.center[1])}" r="{_svg_coord(obs.radius)}" '
-                f'fill="#d0d0d0" stroke="#606060" stroke-width="0.4"/>\n'
-            )
+            yield _circle("obstacle", *obs.center, obs.radius, paint)
         else:
-            w = obs.max_corner[0] - obs.min_corner[0]
-            h = obs.max_corner[1] - obs.min_corner[1]
-            yield (
-                f'<rect class="obstacle" x="{_svg_coord(obs.min_corner[0])}" '
-                f'y="{_svg_coord(-obs.max_corner[1])}" width="{_svg_coord(w)}" '
-                f'height="{_svg_coord(h)}" fill="#d0d0d0" stroke="#606060" stroke-width="0.4"/>\n'
-            )
+            (x_min, y_min), (x_max, y_max) = obs.min_corner, obs.max_corner
+            yield _rect("obstacle", x_min, y_max, x_max - x_min, y_max - y_min, paint)
     gx, gy = record.world.goal
-    yield (
-        f'<circle class="goal" cx="{_svg_coord(gx)}" cy="{_svg_coord(-gy)}" '
-        f'r="{_svg_coord(record.world.goal_tolerance)}" fill="none" stroke="#2a7e2a" stroke-width="0.5"/>\n'
-    )
-    yield (
-        f'<circle class="goal-center" cx="{_svg_coord(gx)}" cy="{_svg_coord(-gy)}" '
-        f'r="0.6" fill="#2a7e2a"/>\n'
-    )
+    yield _circle("goal", gx, gy, record.world.goal_tolerance, 'fill="none" stroke="#2a7e2a" stroke-width="0.5"')
+    yield _circle("goal-center", gx, gy, 0.6, 'fill="#2a7e2a"')
     if record.total_steps:
         yield '<polyline class="trajectory" points="0,0'
         last = None
@@ -341,7 +339,7 @@ def _svg(record: RunRecord) -> Iterator[str]:
                 point = f" {_svg_coord(x)},{_svg_coord(-y)}"
             yield point
         yield '" fill="none" stroke="#1f4fa0" stroke-width="0.5"/>\n'
-    yield '<rect class="start" x="-1" y="-1" width="2" height="2" fill="#b03030"/>\n'
+    yield _rect("start", -1.0, 1.0, 2.0, 2.0, 'fill="#b03030"')
     yield "</svg>\n"
 
 

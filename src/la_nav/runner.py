@@ -29,8 +29,10 @@ from .world import (
     CircleObstacle,
     Obstacle,
     World,
+    _check_bounds,
     _finite,
     _goal_misfit,
+    _obstacles,
     _point,
     compute_feedback,
     distance_to_goal,
@@ -50,6 +52,16 @@ _BLOCKING_RADIUS_CM = 10.0
 _BLOCKING_LATERAL_OFFSET_CM = 5.0
 _START_CLEARANCE_CM = 0.5
 _MAX_WORLD_ATTEMPTS = 10_000
+
+
+def _check_int(value, field: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(field, f"expected an integer, got {value!r}")
+
+
+def _check_bool(value, field: str) -> None:
+    if not isinstance(value, bool):
+        raise ConfigError(field, f"expected true/false, got {value!r}")
 
 
 class WorldSpec(Value):
@@ -81,23 +93,9 @@ class WorldSpec(Value):
         min_start_distance: float = DEFAULT_MIN_START_DISTANCE_CM,
         auto_blocking_pair: bool = False,
     ) -> None:
-        try:
-            obstacles = tuple(obstacles)
-        except TypeError:
-            raise ConfigError(
-                "world.obstacles", f"expected a list of obstacles, got {obstacles!r}"
-            ) from None
-        if not isinstance(bounds, Bounds):
-            raise ConfigError("world.bounds", f"expected a Bounds, got {bounds!r}")
-        for obs in obstacles:
-            if not isinstance(obs, Obstacle):
-                raise ConfigError(
-                    "world.obstacles", f"expected a CircleObstacle or RectObstacle, got {obs!r}"
-                )
-        if not isinstance(auto_blocking_pair, bool):
-            raise ConfigError(
-                "world.auto_blocking_pair", f"expected true/false, got {auto_blocking_pair!r}"
-            )
+        obstacles = build("world.obstacles", _obstacles, obstacles)
+        build("world.bounds", _check_bounds, bounds)
+        _check_bool(auto_blocking_pair, "world.auto_blocking_pair")
         goal = None if goal is None else build("world.goal", _point, goal, "goal")
         tolerance = _finite(tolerance, "tolerance")
         min_start_distance = _finite(min_start_distance, "min start distance")
@@ -146,11 +144,6 @@ class WorldSpec(Value):
         return out
 
 
-def _check_int(value, field: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(field, f"expected an integer, got {value!r}")
-
-
 class ExperimentConfig(Value):
     """Everything that determines a run: scheme, robot, world recipe, seed.
 
@@ -184,10 +177,7 @@ class ExperimentConfig(Value):
                 raise ConfigError(field, f"expected a {kind.__name__}, got {value!r}")
         _check_int(seed, "seed")
         _check_int(max_steps, "max_steps")
-        if not isinstance(feedback_literal_eq10, bool):
-            raise ConfigError(
-                "feedback_literal_eq10", f"expected true/false, got {feedback_literal_eq10!r}"
-            )
+        _check_bool(feedback_literal_eq10, "feedback_literal_eq10")
         if preset is not None:
             _check_int(preset, "preset")
             _check_preset(preset)
@@ -324,7 +314,8 @@ def build_world(spec: WorldSpec, rng) -> World:
     """Materialize a :class:`World` from a recipe, consuming ``rng`` draws.
 
     ``rng`` is anything with ``uniform(low, high)`` that draws from
-    [low, high): a ``random.Random``, a numpy ``Generator``.
+    [low, high], such as a ``random.Random`` or a numpy ``Generator``: both
+    compute ``low + (high - low) * u`` for a u in [0, 1), which can round up to ``high``.
 
     A random goal is drawn uniformly over the bounds, x then y, and redrawn
     while it lies closer than ``min_start_distance`` to the start or

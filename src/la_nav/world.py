@@ -145,6 +145,23 @@ class RectObstacle(Value):
 Obstacle = CircleObstacle | RectObstacle
 
 
+def _obstacles(obstacles) -> tuple[Obstacle, ...]:
+    """``obstacles`` as a tuple; ValueError unless it is a list of ``CircleObstacle`` and ``RectObstacle``."""
+    try:
+        obstacles = tuple(obstacles)
+    except TypeError:
+        raise ValueError(f"expected a list of obstacles, got {obstacles!r}") from None
+    for obs in obstacles:
+        if not isinstance(obs, Obstacle):
+            raise ValueError(f"expected a CircleObstacle or RectObstacle, got {obs!r}")
+    return obstacles
+
+
+def _check_bounds(bounds) -> None:
+    if not isinstance(bounds, Bounds):
+        raise ValueError(f"expected a Bounds, got {bounds!r}")
+
+
 def _goal_misfit(goal: tuple[float, float], obstacles: tuple[Obstacle, ...], bounds: Bounds):
     """``bounds`` if ``goal`` lies outside them, else the first obstacle holding it, else None."""
     if not bounds.contains(*goal):
@@ -166,15 +183,8 @@ class World(Value):
     ) -> None:
         goal = _point(goal, "goal")
         goal_tolerance = _finite(goal_tolerance, "goal tolerance")
-        try:
-            obstacles = tuple(obstacles)
-        except TypeError:
-            raise ValueError(f"obstacles must be a list of obstacles, got {obstacles!r}") from None
-        if not isinstance(bounds, Bounds):
-            raise ValueError(f"bounds must be a Bounds, got {bounds!r}")
-        for obs in obstacles:
-            if not isinstance(obs, Obstacle):
-                raise ValueError(f"obstacle must be a CircleObstacle or RectObstacle, got {obs!r}")
+        obstacles = _obstacles(obstacles)
+        _check_bounds(bounds)
         if not goal_tolerance > 0:
             raise ValueError(f"goal tolerance must be positive, got {goal_tolerance!r}")
         culprit = _goal_misfit(goal, obstacles, bounds)

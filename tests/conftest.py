@@ -1,5 +1,6 @@
 """Shared hypothesis strategies and episode configs for the test suite."""
 
+import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
@@ -107,3 +108,22 @@ def zero_speed_config() -> ExperimentConfig:
     and turn), which must not reach the record.
     """
     return preset_config(1, seed=1).replace(robot=RobotParams(wheel_speed=0.0), max_steps=300)
+
+
+# Wrong-type arguments that ``World`` and ``WorldSpec`` reject in the same words:
+# ``World`` raises a ValueError with the message, ``WorldSpec`` a ConfigError
+# for the field. (keyword arguments, WorldSpec field, message)
+WRONG_WORLD_TYPES = [
+    pytest.param({"bounds": None}, "world.bounds", "expected a Bounds, got None", id="bounds-none"),
+    pytest.param(
+        {"obstacles": [5]}, "world.obstacles", "expected a CircleObstacle or RectObstacle, got 5",
+        id="obstacle-int",
+    ),
+    pytest.param(
+        {"obstacles": 5}, "world.obstacles", "expected a list of obstacles, got 5", id="obstacles-int"
+    ),
+    pytest.param(
+        {"obstacles": None}, "world.obstacles", "expected a list of obstacles, got None",
+        id="obstacles-none",
+    ),
+]

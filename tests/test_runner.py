@@ -1,6 +1,7 @@
 """Runner tests: episode semantics, determinism, presets, batches."""
 
 import hashlib
+import importlib.util
 import math
 import random
 import re
@@ -47,7 +48,12 @@ from la_nav import (
     summarize,
 )
 
-from conftest import first_move_blocked_config, zero_reward_general_config, zero_speed_config
+from conftest import (
+    WRONG_WORLD_TYPES,
+    first_move_blocked_config,
+    zero_reward_general_config,
+    zero_speed_config,
+)
 
 
 # The box fills the bounds and the start lies on its edge, outside its open
@@ -751,27 +757,25 @@ class TestWorldSpecValidation:
     @pytest.mark.parametrize(
         "kwargs,field,message",
         [
-            ({"bounds": None}, "world.bounds", "expected a Bounds, got None"),
-            ({"obstacles": [5]}, "world.obstacles", "expected a CircleObstacle or RectObstacle, got 5"),
-            ({"auto_blocking_pair": "no"}, "world.auto_blocking_pair", "expected true/false, got 'no'"),
-            ({"obstacles": 5}, "world.obstacles", "expected a list of obstacles, got 5"),
-            ({"obstacles": None}, "world.obstacles", "expected a list of obstacles, got None"),
-            (
+            *WRONG_WORLD_TYPES,
+            pytest.param(
+                {"auto_blocking_pair": "no"}, "world.auto_blocking_pair", "expected true/false, got 'no'",
+                id="pair-string",
+            ),
+            pytest.param(
                 {"goal": (500.0, 0.0)},
                 "world.goal",
                 "goal (500.0, 0.0) outside bounds "
                 "Bounds(x_min=-100.0, y_min=-100.0, x_max=100.0, y_max=100.0)",
+                id="goal-outside-bounds",
             ),
-            (
+            pytest.param(
                 {"goal": (30.0, 0.0), "obstacles": (CircleObstacle((30.0, 0.0), 5.0),)},
                 "world.goal",
                 "goal (30.0, 0.0) lies inside obstacle "
                 "CircleObstacle(center=(30.0, 0.0), radius=5.0)",
+                id="goal-inside-obstacle",
             ),
-        ],
-        ids=[
-            "bounds-none", "obstacle-int", "pair-string", "obstacles-int", "obstacles-none",
-            "goal-outside-bounds", "goal-inside-obstacle",
         ],
     )
     def test_rejects_wrong_types(self, kwargs, field, message):
@@ -961,3 +965,14 @@ class TestGoldenBehaviour:
                 digest.update(f"{action},{flag},{blocked};".encode("ascii"))
             observed.append((record.total_steps, digest.hexdigest()))
         assert observed == GOLDEN_EPISODES[preset]
+
+
+def test_layer_trace_names_resolve():
+    """Every function that perfbench's layer trace replaces exists where it looks it up."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layer_trace.py"
+    spec = importlib.util.spec_from_file_location("layer_trace", path)
+    layer_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layer_trace)
+    assert layer_trace.WRAPPED
+    for key, (module, attr) in layer_trace.WRAPPED.items():
+        assert callable(getattr(importlib.import_module(module), attr, None)), (key, module, attr)

@@ -21,6 +21,8 @@ from la_nav import (
     resolve_motion,
 )
 
+from conftest import WRONG_WORLD_TYPES
+
 
 def make_world(goal=(50.0, 0.0), tolerance=2.0, obstacles=(), bounds=None):
     return World(goal, tolerance, obstacles, bounds or Bounds())
@@ -396,17 +398,8 @@ class TestGeometryTypes:
         with pytest.raises(ValueError):
             World((10.0, 0.0), 0.0, (), Bounds())
 
-    @pytest.mark.parametrize(
-        "kwargs,message",
-        [
-            ({"bounds": None}, "bounds must be a Bounds, got None"),
-            ({"obstacles": [5]}, "obstacle must be a CircleObstacle or RectObstacle, got 5"),
-            ({"obstacles": 5}, "obstacles must be a list of obstacles, got 5"),
-            ({"obstacles": None}, "obstacles must be a list of obstacles, got None"),
-        ],
-        ids=["bounds-none", "obstacle-int", "obstacles-int", "obstacles-none"],
-    )
-    def test_world_rejects_wrong_types(self, kwargs, message):
+    @pytest.mark.parametrize("kwargs,field,message", WRONG_WORLD_TYPES)
+    def test_world_rejects_wrong_types(self, kwargs, field, message):
         with pytest.raises(ValueError) as err:
             World((1.0, 1.0), **kwargs)
         assert str(err.value) == message
