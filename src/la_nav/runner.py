@@ -78,7 +78,8 @@ class WorldSpec(Value):
 
     An explicit goal's ``World`` is built once, with the spec, and kept in
     ``world`` (``None`` for a random goal); ``build_world`` returns it. A goal
-    that ``_goal_fit`` names a culprit for is a ``ConfigError`` for ``world.goal``.
+    for which ``_goal_obstacles`` cannot place the derived pair is a ``ValueError``
+    at the start (0, 0), else a ``ConfigError`` for ``world.goal``.
     """
 
     _fields = ("goal", "tolerance", "bounds", "obstacles", "min_start_distance", "auto_blocking_pair")
@@ -105,13 +106,12 @@ class WorldSpec(Value):
             raise ValueError(f"min start distance must be non-negative, got {min_start_distance!r}")
         if auto_blocking_pair and obstacles:
             raise ValueError("auto_blocking_pair replaces the obstacle list; give one or the other")
-        if auto_blocking_pair and goal == (0.0, 0.0):
-            # The pair straddles the start-to-goal line, which needs a direction.
-            raise ValueError("auto_blocking_pair needs a goal away from the start (0, 0)")
         world = None
         if goal is not None:
-            goal_obstacles, culprit = _goal_fit(goal, tolerance, obstacles, bounds, auto_blocking_pair)
-            if isinstance(culprit, tuple):  # the derived pair
+            goal_obstacles = _goal_obstacles(goal, tolerance, obstacles, auto_blocking_pair)
+            if goal_obstacles is None:
+                if goal == (0.0, 0.0):
+                    raise ValueError("auto_blocking_pair needs a goal away from the start (0, 0)")
                 trapped = f"blocking pair derived from goal {goal} traps the start or the goal"
                 raise ConfigError("world.goal", trapped)
             world = build("world.goal", World, goal, tolerance, goal_obstacles, bounds)
@@ -278,36 +278,33 @@ class RunRecord(Value):
         return 0.0, 0.0, 0.0
 
 
-def _blocking_pair(goal: tuple[float, float]) -> tuple[CircleObstacle, CircleObstacle]:
+def _goal_obstacles(
+    goal: tuple[float, float], tolerance: float, obstacles: tuple[Obstacle, ...], auto_blocking_pair: bool
+) -> tuple[Obstacle, ...] | None:
+    """The obstacles of the world with this goal, or None when its derived pair cannot be placed.
+
+    ``auto_blocking_pair`` derives two discs from the goal in place of ``obstacles``:
+    they straddle the start-to-goal line at one third and two thirds of the way, so
+    the goal must lie away from the start (0, 0), and they must leave the start and
+    the whole goal-tolerance disc free.
+    """
+    if not auto_blocking_pair:
+        return obstacles
     gx, gy = goal
     span = math.hypot(gx, gy)
+    if span == 0.0:
+        return None
     ux, uy = gx / span, gy / span
-    px, py = -uy, ux
     off = _BLOCKING_LATERAL_OFFSET_CM
-    near = CircleObstacle((gx / 3.0 + off * px, gy / 3.0 + off * py), _BLOCKING_RADIUS_CM)
-    far = CircleObstacle((2.0 * gx / 3.0 - off * px, 2.0 * gy / 3.0 - off * py), _BLOCKING_RADIUS_CM)
-    return near, far
-
-
-def _goal_fit(
-    goal: tuple[float, float], tolerance: float, obstacles: tuple[Obstacle, ...], bounds: Bounds,
-    auto_blocking_pair: bool,
-) -> tuple[tuple[Obstacle, ...], Bounds | Obstacle | tuple[Obstacle, ...] | None]:
-    """The obstacles of the world with this goal, and what keeps the robot from finishing there.
-
-    ``auto_blocking_pair`` derives the two discs from the goal in place of ``obstacles``;
-    the pair is the culprit unless it leaves the start and the whole goal-tolerance disc
-    free. Else the culprit is the bounds or an obstacle holding the goal, or None if it fits.
-    """
-    if auto_blocking_pair:
-        obstacles = _blocking_pair(goal)
-        for obs in obstacles:
-            if (
-                obs.exterior_clearance(0.0, 0.0) <= _START_CLEARANCE_CM
-                or obs.exterior_clearance(goal[0], goal[1]) <= tolerance
-            ):
-                return obstacles, obstacles
-    return obstacles, _goal_misfit(goal, obstacles, bounds)
+    pair = (
+        CircleObstacle((gx / 3.0 - off * uy, gy / 3.0 + off * ux), _BLOCKING_RADIUS_CM),
+        CircleObstacle((2.0 * gx / 3.0 + off * uy, 2.0 * gy / 3.0 - off * ux), _BLOCKING_RADIUS_CM),
+    )
+    trapped = any(
+        obs.exterior_clearance(0.0, 0.0) <= _START_CLEARANCE_CM or obs.exterior_clearance(gx, gy) <= tolerance
+        for obs in pair
+    )
+    return None if trapped else pair
 
 
 def build_world(spec: WorldSpec, rng) -> World:
@@ -318,8 +315,9 @@ def build_world(spec: WorldSpec, rng) -> World:
     compute ``low + (high - low) * u`` for a u in [0, 1), which can round up to ``high``.
 
     A random goal is drawn uniformly over the bounds, x then y, and redrawn
-    while it lies closer than ``min_start_distance`` to the start or
-    ``_goal_fit`` names a culprit.
+    while it lies closer than ``min_start_distance`` to the start, its derived
+    pair cannot be placed (``_goal_obstacles``), or it misses the bounds or
+    lies inside an obstacle (``_goal_misfit``).
     """
     if spec.world is not None:
         return spec.world
@@ -328,8 +326,8 @@ def build_world(spec: WorldSpec, rng) -> World:
         goal = rng.uniform(bounds.x_min, bounds.x_max), rng.uniform(bounds.y_min, bounds.y_max)
         if math.hypot(*goal) < spec.min_start_distance:
             continue
-        obstacles, culprit = _goal_fit(goal, spec.tolerance, spec.obstacles, bounds, spec.auto_blocking_pair)
-        if culprit is None:
+        obstacles = _goal_obstacles(goal, spec.tolerance, spec.obstacles, spec.auto_blocking_pair)
+        if obstacles is not None and _goal_misfit(goal, obstacles, bounds) is None:
             return World(goal, spec.tolerance, obstacles, bounds)
     raise InfeasibleWorldError(
         f"no feasible goal after {_MAX_WORLD_ATTEMPTS} samples (bounds {bounds!r}, "

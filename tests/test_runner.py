@@ -8,6 +8,7 @@ import re
 import sys
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -569,6 +570,13 @@ class TestWorldBuilding:
             rng = random.Random(seed)
             assert build_world(spec, rng).goal == goal
             assert rng.random() == next_draw
+
+    @pytest.mark.parametrize("start", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])
+    def test_random_goal_at_the_start_with_derived_discs_is_redrawn(self, start):
+        # The pair straddles the start-to-goal line, which has no direction there.
+        draws = iter([*start, 60.0, 20.0])
+        rng = SimpleNamespace(uniform=lambda low, high: next(draws))
+        assert build_world(WorldSpec(auto_blocking_pair=True, min_start_distance=0), rng).goal == (60.0, 20.0)
 
     def test_blocking_pair_never_traps_random_goals(self):
         for seed in range(40):
