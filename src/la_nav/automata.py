@@ -11,8 +11,6 @@ caller data; the rules accept any valid tuple. Randomness enters only
 through the explicit ``draw`` argument (callers own their generators).
 """
 
-from __future__ import annotations
-
 from enum import Enum
 
 from ._value import Value, _number

@@ -17,8 +17,6 @@ rows or points per write, so a run's memory is its ``RunRecord`` plus a
 constant however long the episode.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -15,8 +15,6 @@ speed are constant, so every step is an exact circular arc (a straight
 line when both wheels turn alike) and is computed in closed form.
 """
 
-from __future__ import annotations
-
 import math
 from enum import IntEnum
 

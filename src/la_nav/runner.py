@@ -8,8 +8,6 @@ fully determined by their configuration and seed; batches replay a config
 template across a seed list.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import random

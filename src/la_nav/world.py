@@ -7,8 +7,6 @@ the straight-line distance to the goal. Moves that would cross an obstacle
 or leave the workspace are rejected wholesale: the robot stays put.
 """
 
-from __future__ import annotations
-
 import math
 
 from ._value import Value, _number

@@ -16,7 +16,19 @@ import random
 
 import pytest
 
-from la_nav import CircleObstacle, RectObstacle, preset_config, run_episode
+from la_nav import (
+    Action,
+    Bounds,
+    CircleObstacle,
+    RectObstacle,
+    RobotParams,
+    World,
+    integrate_action,
+    move_table,
+    preset_config,
+    resolve_motion,
+    run_episode,
+)
 from la_nav.cli import main
 
 from test_world import exact_chord_entry
@@ -59,6 +71,8 @@ RANDOM_GOAL_SEEDS = (16, 22, 38)
 # (right wheel sign, left wheel sign) of actions 1..6: Forward, RightForward,
 # LeftForward, Backward, RightBackward, LeftBackward.
 WHEEL_SIGNS = [(1, 1), (0, 1), (1, 0), (-1, -1), (0, -1), (-1, 0)]
+# RobotParams()'s defaults, keyed as in a config's "robot" section.
+DEFAULT_ROBOT = {"c": 2.8, "b": 12.0, "omega": 2.0, "T": 0.5}
 
 # The derived layout of "obstacles": "auto": discs of radius 10 cm at one and
 # two thirds of the way to the goal, 5 cm to the left and right of the line.
@@ -234,6 +248,31 @@ def arc_depth(x, y, theta, action, robot, centre, radius):
     return radius - nearest
 
 
+def arc_overshoot(x, y, theta, action, robot, bounds):
+    """How far the path that ``action`` drives from the pose (x, y, theta) goes past ``bounds``.
+
+    Negative by the clearance when the path stays inside. ``bounds`` is a
+    config's ``{"min": [x, y], "max": [x, y]}``. The path's extreme x and y
+    lie at its ends or, on an arc, where the heading is a multiple of a
+    quarter turn within the swept angle: there the point of the circle
+    about the centre of rotation is furthest along an axis.
+    """
+    speed, spin = wheel_motion(action, robot)
+    ex, ey, _ = arc(x, y, theta, action, robot)
+    points = [(x, y), (ex, ey)]
+    if spin != 0:
+        turn = speed / spin  # signed: the pose is centre + turn * (cos, sin)(heading)
+        cx, cy = x - turn * math.cos(theta), y - turn * math.sin(theta)
+        sweep = spin * robot["T"]
+        for quarter in range(4):
+            heading = quarter * math.pi / 2
+            if (heading - theta) * math.copysign(1.0, sweep) % math.tau <= abs(sweep):
+                points.append((cx + turn * math.cos(heading), cy + turn * math.sin(heading)))
+    (x_min, y_min), (x_max, y_max) = bounds["min"], bounds["max"]
+    xs, ys = [p[0] for p in points], [p[1] for p in points]
+    return max(x_min - min(xs), max(xs) - x_max, y_min - min(ys), max(ys) - y_max)
+
+
 def audit_seed(seed_dir, seed):
     """Replay one seed's artifacts.
 
@@ -334,7 +373,7 @@ def test_random_goal_beside_listed_obstacles_replays(batch_dirs):
 
 
 def test_arc_depth_matches_dense_sampling():
-    robot = {"c": 2.8, "b": 12.0, "omega": 2.0, "T": 0.5}
+    robot = DEFAULT_ROBOT
     rng = random.Random(0)
     for _ in range(200):
         x, y, theta = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-7, 7)
@@ -343,6 +382,38 @@ def test_arc_depth_matches_dense_sampling():
         path = [arc(x, y, theta, action, {**robot, "T": robot["T"] * k / 400}) for k in range(401)]
         sampled = radius - min(math.dist(p[:2], centre) for p in path)
         assert arc_depth(x, y, theta, action, robot, centre, radius) == pytest.approx(sampled, abs=1e-4)
+
+
+def test_arc_overshoot_matches_dense_sampling():
+    robot = DEFAULT_ROBOT
+    rng = random.Random(0)
+    for _ in range(200):
+        x, y, theta = rng.uniform(-5, 5), rng.uniform(-5, 5), rng.uniform(-7, 7)
+        action = rng.randint(1, 6)
+        low = [x + rng.uniform(-2, 2), y + rng.uniform(-2, 2)]
+        high = [low[0] + rng.uniform(0.5, 6), low[1] + rng.uniform(0.5, 6)]
+        bounds = {"min": low, "max": high}
+        path = [arc(x, y, theta, action, {**robot, "T": robot["T"] * k / 400}) for k in range(401)]
+        sampled = max(
+            max(low[0] - px, px - high[0], low[1] - py, py - high[1]) for px, py, _ in path
+        )
+        assert arc_overshoot(x, y, theta, action, robot, bounds) == pytest.approx(sampled, abs=1e-4)
+
+
+def test_accepted_arc_that_leaves_the_bounds_is_pinned():
+    # A LeftForward step whose chord runs along +y, 0.02 cm inside x_max: both
+    # ends lie in the bounds, so the endpoint test accepts it, but the arc
+    # bulges by its sagitta, 6 * (1 - cos 0.1167) ~ 0.0408 cm, towards +x.
+    # An exact arc test against the bounds blocks this move.
+    travel, half_turn, _ = move = move_table(RobotParams())[Action.LEFT_FORWARD - 1]
+    bounds = Bounds()
+    x0, y0, theta0 = bounds.x_max - 0.02, 0.0, -half_turn
+    px, py, _ = integrate_action(x0, y0, theta0, move)
+    assert px == x0 and py == pytest.approx(travel)
+    assert resolve_motion(x0, y0, px, py, World((0.0, 50.0), bounds=bounds)) is False
+    overshoot = arc_overshoot(x0, y0, theta0, Action.LEFT_FORWARD, DEFAULT_ROBOT, bounds.to_dict())
+    assert round(overshoot, 4) == 0.0208
+    assert overshoot == pytest.approx(6 * (1 - math.cos(half_turn)) - 0.02)
 
 
 # The moves of preset 4, seeds 1..300, that the chord test accepts but whose

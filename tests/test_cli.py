@@ -224,6 +224,13 @@ class TestParseConfig:
         config = parse_config(path)
         assert config.world.goal == (30.0, 0.0)
 
+    def test_null_goal_is_rejected(self, tmp_path):
+        # WorldSpec reads a None goal as a random one; a JSON null is not that.
+        path = write_config(tmp_path, {"preset": 1, "seed": 1, "world": {"goal": None}})
+        with pytest.raises(ConfigError) as err:
+            parse_config(path)
+        assert str(err.value) == "config field 'world.goal': expected [x, y], got None"
+
     def test_scheme_kind_shortcuts(self, tmp_path):
         lri = parse_config(write_config(tmp_path, {"seed": 1, "scheme": {"kind": "lri", "a": 0.5}}, "a.json"))
         assert lri.scheme == LearningScheme("lri", 0.5)
@@ -1079,6 +1086,15 @@ class TestMain:
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
+    def test_null_goal_exits_with_one_error_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"preset": 1, "seed": 1, "world": {"goal": None}})
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: config field 'world.goal': expected [x, y], got None\n"
+        assert captured.out == ""
+        assert not (tmp_path / "o").exists()
+
     def test_random_goal_at_the_start_with_derived_discs_is_redrawn(self, tmp_path, capsys):
         # Every goal drawn in these bounds lies at the start, where the pair has no
         # direction, or within a subnormal of it, where the pair covers the start.
@@ -1319,15 +1335,17 @@ class TestEmissionMemory:
 
 
 class TestStartupImports:
-    def test_startup_loads_no_dataclasses_inspect_or_hashlib(self):
-        # -S: no site .pth file preloads a module before la_nav does.
+    def test_startup_loads_no_dataclasses_inspect_hashlib_pathlib_or_future(self):
+        # -S: no site .pth file preloads a module before la_nav does. Annotations are
+        # evaluated where they are written, so no module needs `from __future__`.
         code = (
             "import sys\n"
             f"sys.path.insert(0, {PACKAGE_ROOT!r})\n"
             "import la_nav.cli\n"
             "la_nav.cli.main(['presets'])\n"
             "la_nav.cli.parse_config(None, {'preset': 1, 'seed': 1})\n"
-            "print([m for m in ('dataclasses', 'inspect', 'hashlib', 'pathlib') if m in sys.modules])\n"
+            "print([m for m in ('dataclasses', 'inspect', 'hashlib', 'pathlib', '__future__')"
+            " if m in sys.modules])\n"
         )
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from la_nav import (
@@ -28,6 +28,7 @@ from la_nav import (
     RunRecord,
     SchemeKind,
     SeedFailure,
+    SimulationError,
     Termination,
     World,
     WorldSpec,
@@ -480,6 +481,71 @@ class TestStalledRuns:
         assert record.total_steps == steps
         assert _columns_bytes(record) == [c.tobytes() for c in columns]
         assert record.terminated is terminated
+
+
+# Rates of 0 leave one update out; rates of 1 make a vector one-hot within the budget.
+engine_rates = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def engine_configs(draw):
+    """Valid ``ExperimentConfig``s of every kind, or a rejected draw.
+
+    Every scheme family (``general`` with either rate possibly 0), both
+    feedback modes, a random robot, bounds of 5 to 100 cm on each side of
+    the start, 0 to 3 listed discs and boxes or the derived pair, an
+    explicit or random goal, and a budget of 1 to 300 steps. A draw that a
+    constructor rejects, or whose random goal finds no place, is skipped.
+    """
+    kind = draw(st.sampled_from(list(SchemeKind)))
+    a, b = draw(engine_rates), draw(engine_rates)
+    rates = {"general": (a, b), "lrp": (a,), "lri": (a,), "penalty_only": (None, b)}[kind.value]
+    robot = (
+        draw(st.floats(0.5, 10.0)), draw(st.floats(1.0, 30.0)),
+        draw(st.floats(0.0, 5.0)), draw(st.floats(0.05, 2.0)),
+    )
+    side = st.floats(5.0, 100.0)
+    x_min, y_min, x_max, y_max = -draw(side), -draw(side), draw(side), draw(side)
+    xs, ys = st.floats(x_min, x_max), st.floats(y_min, y_max)
+    obstacles = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            obstacles.append(CircleObstacle((draw(xs), draw(ys)), draw(st.floats(0.5, 20.0))))
+        else:
+            (x0, x1), (y0, y1) = sorted((draw(xs), draw(xs))), sorted((draw(ys), draw(ys)))
+            assume(x0 < x1 and y0 < y1)
+            obstacles.append(RectObstacle((x0, y0), (x1, y1)))
+    auto = not obstacles and draw(st.booleans())
+    goal = draw(st.one_of(st.none(), st.tuples(xs, ys)))
+    try:
+        config = ExperimentConfig(
+            scheme=LearningScheme(kind, *rates),
+            seed=draw(st.integers(0, 2**32)),
+            robot=RobotParams(*robot),
+            world=WorldSpec(
+                goal=goal,
+                tolerance=draw(st.floats(0.5, 5.0)),
+                bounds=Bounds(x_min, y_min, x_max, y_max),
+                obstacles=tuple(obstacles),
+                min_start_distance=draw(st.floats(0.0, 20.0)),
+                auto_blocking_pair=auto,
+            ),
+            max_steps=draw(st.integers(1, 300)),
+            feedback_literal_eq10=draw(st.booleans()),
+        )
+        build_world(config.world, random.Random(config.seed))
+    except (ValueError, SimulationError):
+        assume(False)
+    return config
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(engine_configs())
+def test_engine_matches_the_step_by_step_loop_on_random_configs(config):
+    record = run_episode(config)
+    columns, terminated = reference_episode(config)
+    assert _columns_bytes(record) == [c.tobytes() for c in columns]
+    assert record.terminated is terminated
 
 
 class TestWorldBuilding:
