@@ -48,6 +48,10 @@ class SchemeKind(str, Enum):
     LRI = "lri"
     PENALTY_ONLY = "penalty_only"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"unknown kind {value!r} (valid: {', '.join(k.value for k in cls)})")
+
 
 # The error for a rate that is still missing once a family's defaults are filled in.
 _MISSING_RATE = {

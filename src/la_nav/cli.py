@@ -66,12 +66,7 @@ def _reject_unknown(value, allowed: set, path: str) -> None:
 def _build_scheme(data: dict, preset: LearningScheme | None) -> LearningScheme:
     """The section's scheme, kind defaulting to ``preset``'s; ``preset`` fills a rate the family leaves missing."""
     _reject_unknown(data, _SCHEME_KEYS, "scheme")
-    kind_raw = data.get("kind", "general" if preset is None else preset.kind)
-    try:
-        kind = SchemeKind(kind_raw)
-    except ValueError:
-        valid = ", ".join(k.value for k in SchemeKind)
-        raise ConfigError("scheme.kind", f"unknown kind {kind_raw!r} (valid: {valid})") from None
+    kind = build("scheme.kind", SchemeKind, data.get("kind", "general" if preset is None else preset.kind))
     # LearningScheme reads a None rate as absent and fills it in, so a null is rejected here.
     for key in "ab":
         if key in data and data[key] is None:

@@ -336,7 +336,9 @@ def build_world(spec: WorldSpec, rng) -> World:
 def run_episode(config: ExperimentConfig) -> RunRecord:
     """Run one full episode; deterministic for a given config and seed.
 
-    Once ``absorbed_action`` names an action, every later step takes it with no
+    The loop runs while budget remains and the goal is not reached, and
+    ``terminated`` is ``goal_reached`` of the final pose. Once
+    ``absorbed_action`` names an action, every later step takes it with no
     draw and no update, which could not change it; the rest of the step is the same.
 
     A blocked step whose update leaves the vector as it was is a fixed point:
@@ -356,57 +358,51 @@ def run_episode(config: ExperimentConfig) -> RunRecord:
     d_prev = distance_to_goal(x, y, world)
     xs, ys, thetas, ds, prob_col = (array("d") for _ in range(5))
     actions, flags, blocks = (array("b") for _ in range(3))
-    terminated = Termination.MAX_STEPS_EXCEEDED
-
-    if goal_reached(x, y, world):
-        terminated = Termination.GOAL_REACHED
-    else:
-        draw = rng.random
-        # Only a scheme without penalties can absorb (see absorbed_action).
-        absorbing = scheme.penalty_rate == 0.0
-        absorbed = None
-        stuck = 0  # the action that repeats the last row exactly, or 0
-        remaining = config.max_steps
-        while remaining:
-            action = absorbed or select_action(probs, draw())
-            if action == stuck:
-                run = remaining if absorbed else 1
-                while run < remaining and (action := select_action(probs, draw())) == stuck:
-                    run += 1
-                for column in (xs, ys, thetas, ds, actions, flags, blocks):
-                    column.extend(column[-1:] * run)
-                prob_col.extend(prob_col[-ACTION_COUNT:] * run)
-                remaining -= run
-                if not remaining:
-                    break
-            remaining -= 1
-            px, py, ptheta = integrate_action(x, y, theta, moves[action - 1])
-            blocked = resolve_motion(x, y, px, py, world)
-            if not blocked:
-                x, y, theta = px, py, ptheta
-            d = distance_to_goal(x, y, world)
-            flag = compute_feedback(d, d_prev, literal=literal)
-            if absorbed:
-                stuck = action if blocked else 0
-            else:
-                updated = apply_feedback(probs, action, flag, scheme)
-                stuck = action if blocked and updated == probs else 0
-                probs = updated
-                if absorbing and flag == 0:
-                    absorbed = absorbed_action(probs, scheme)
-            xs.append(x)
-            ys.append(y)
-            thetas.append(theta)
-            ds.append(d)
-            prob_col.extend(probs)
-            actions.append(action)
-            flags.append(flag)
-            blocks.append(blocked)
-            d_prev = d
-            # goal_reached's test, on the distance just computed.
-            if d <= world.goal_tolerance:
-                terminated = Termination.GOAL_REACHED
+    draw = rng.random
+    # Only a scheme without penalties can absorb (see absorbed_action).
+    absorbing = scheme.penalty_rate == 0.0
+    absorbed = None
+    stuck = 0  # the action that repeats the last row exactly, or 0
+    remaining = config.max_steps
+    tolerance = world.goal_tolerance
+    # goal_reached's test, on the distance of the current pose.
+    while remaining and d_prev > tolerance:
+        action = absorbed or select_action(probs, draw())
+        if action == stuck:
+            run = remaining if absorbed else 1
+            while run < remaining and (action := select_action(probs, draw())) == stuck:
+                run += 1
+            for column in (xs, ys, thetas, ds, actions, flags, blocks):
+                column.extend(column[-1:] * run)
+            prob_col.extend(prob_col[-ACTION_COUNT:] * run)
+            remaining -= run
+            if not remaining:
                 break
+        remaining -= 1
+        px, py, ptheta = integrate_action(x, y, theta, moves[action - 1])
+        blocked = resolve_motion(x, y, px, py, world)
+        if not blocked:
+            x, y, theta = px, py, ptheta
+        d = distance_to_goal(x, y, world)
+        flag = compute_feedback(d, d_prev, literal=literal)
+        if absorbed:
+            stuck = action if blocked else 0
+        else:
+            updated = apply_feedback(probs, action, flag, scheme)
+            stuck = action if blocked and updated == probs else 0
+            probs = updated
+            if absorbing and flag == 0:
+                absorbed = absorbed_action(probs, scheme)
+        xs.append(x)
+        ys.append(y)
+        thetas.append(theta)
+        ds.append(d)
+        prob_col.extend(probs)
+        actions.append(action)
+        flags.append(flag)
+        blocks.append(blocked)
+        d_prev = d
+    terminated = Termination.GOAL_REACHED if goal_reached(x, y, world) else Termination.MAX_STEPS_EXCEEDED
 
     return RunRecord(
         x=xs,

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from la_nav import (
     Action,
@@ -77,6 +76,11 @@ def oracle_scan(probs, z):
         if cum >= z:
             return idx
     return len(probs)
+
+
+def chi2_tail_5dof(x):
+    """P(X >= x) for a chi-square variable with 5 degrees of freedom, in closed form."""
+    return math.erfc(math.sqrt(x / 2)) + math.sqrt(2 * x / math.pi) * math.exp(-x / 2) * (1 + x / 3)
 
 
 def random_vector(rng, r):
@@ -149,6 +153,12 @@ def test_criterion_2_normalization_never_drifts():
     report(2, "normalization invariant", f"max |sum-1| {worst_drift:.2e} over {n} updates, {wall:.1f}s")
 
 
+def test_chi2_tail_matches_the_table_critical_values():
+    assert chi2_tail_5dof(0.0) == 1.0
+    assert chi2_tail_5dof(11.0705) == pytest.approx(0.05, abs=1e-6)
+    assert chi2_tail_5dof(15.0863) == pytest.approx(0.01, abs=1e-6)
+
+
 def test_criterion_3_selection_fidelity():
     p = ProbabilityVector((0.1, 0.2, 0.3, 0.15, 0.15, 0.1))
     rng = np.random.Generator(np.random.PCG64(303))
@@ -156,8 +166,9 @@ def test_criterion_3_selection_fidelity():
     counts = np.zeros(6)
     for _ in range(n):
         counts[select_action(p, float(rng.random())) - 1] += 1
-    chi = stats.chisquare(counts, f_exp=np.array(p) * n)
-    assert chi.pvalue > 0.01
+    expected = np.array(p) * n
+    pvalue = chi2_tail_5dof(float(((counts - expected) ** 2 / expected).sum()))
+    assert pvalue > 0.01
 
     mismatches = 0
     for _ in range(10_000):
@@ -167,7 +178,7 @@ def test_criterion_3_selection_fidelity():
         if select_action(vec, z) != oracle_scan(vec, z):
             mismatches += 1
     assert mismatches == 0
-    report(3, "selection fidelity", f"chi-square p={chi.pvalue:.3f}, 0 oracle mismatches")
+    report(3, "selection fidelity", f"chi-square p={pvalue:.3f}, 0 oracle mismatches")
 
 
 def test_criterion_4_kinematic_closure():

@@ -169,8 +169,9 @@ class TestLearningScheme:
             LearningScheme("lri", 0.7, 0.7)
 
     def test_unknown_kind_string_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             LearningScheme("s_model", 0.5, 0.5)
+        assert str(err.value) == "unknown kind 's_model' (valid: general, lrp, lri, penalty_only)"
 
     def test_penalty_only_requires_zero_reward(self):
         with pytest.raises(ValueError):

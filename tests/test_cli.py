@@ -202,6 +202,9 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(path)
         assert err.value.field == "scheme.kind"
+        assert str(err.value) == (
+            "config field 'scheme.kind': unknown kind 's_model' (valid: general, lrp, lri, penalty_only)"
+        )
 
     @pytest.mark.parametrize(
         "base",

@@ -541,6 +541,11 @@ def engine_configs(draw):
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(engine_configs())
+# The tolerance boundary: a start exactly on it runs no step, and seed 1's first
+# Forward (2.8 cm) ends exactly on it and finishes, with budget left or without.
+@example(pinned_goal_config(goal=(0.0, 2.0)))
+@example(pinned_goal_config(goal=(0.0, 4.8)))
+@example(pinned_goal_config(goal=(0.0, 4.8), max_steps=1))
 def test_engine_matches_the_step_by_step_loop_on_random_configs(config):
     record = run_episode(config)
     columns, terminated = reference_episode(config)
